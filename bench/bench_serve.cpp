@@ -202,7 +202,7 @@ run_shards(int nshards)
                 const std::vector<double> input = bench::random_vector(
                     64, 1.0, 600 + static_cast<u64>(c * 1000 + r));
                 const auto rt0 = std::chrono::steady_clock::now();
-                const std::vector<double> out = client.infer(input);
+                const std::vector<double> out = client.infer({input})[0];
                 ORION_CHECK(!out.empty(), "empty inference result");
                 local.push_back(1e3 *
                                 std::chrono::duration<double>(
@@ -493,8 +493,9 @@ run_batch(int target_batch)
     std::vector<std::vector<double>> single_outs;
     {
         const auto reply =
-            s1.submit(c1.make_request(inputs[0])).get();
-        single_outs.push_back(c1.decrypt_response(reply.response));
+            s1.submit(c1.make_request_batch({inputs[0]})).get();
+        single_outs.push_back(
+            c1.decrypt_response_batch(reply.response, 1)[0]);
         (void)sB.submit(cB.make_request_batch(inputs)).get();
     }
 
@@ -504,11 +505,12 @@ run_batch(int target_batch)
         const auto t0 = std::chrono::steady_clock::now();
         for (int i = 0; i < B; ++i) {
             const auto reply =
-                s1.submit(c1.make_request(inputs[static_cast<std::size_t>(
-                              i)]))
+                s1.submit(c1.make_request_batch(
+                              {inputs[static_cast<std::size_t>(i)]}))
                     .get();
             if (r == 0 && i > 0) {
-                single_outs.push_back(c1.decrypt_response(reply.response));
+                single_outs.push_back(
+                    c1.decrypt_response_batch(reply.response, 1)[0]);
             }
         }
         const double wall = std::chrono::duration<double>(

@@ -6,12 +6,21 @@ Usage:
                         [--prefix sweep_] [--allow-missing SUBSTR]...
 
 Both files are the --json reports the bench binaries write. Every metric
-key present in the BASELINE whose name ends in `_ms` (a latency) is
-compared; CURRENT may be at most (1 + max_regress) times the BASELINE
-value. Non-latency keys (counters, sizes, ISA ids) are ignored — they
-describe the run rather than its speed.
+key present in the BASELINE is compared in its own direction, chosen by
+its name:
 
-A baseline `_ms` key that is absent from CURRENT is an error: a silently
+  * `_ms` (a latency) is lower-is-better: CURRENT may be at most
+    (1 + max_regress) times the BASELINE value;
+  * `_per_s` (a throughput), `_x` (a speedup) and `precision_bits` are
+    higher-is-better: CURRENT may be at most (1 + max_regress) times
+    *below* the BASELINE value.
+
+The printed ratio is the "times worse" factor in either direction
+(current/baseline for latencies, baseline/current for the rest), so one
+bar applies to both. Other keys (counters, sizes, ISA ids) are ignored —
+they describe the run rather than its speed.
+
+A compared baseline key that is absent from CURRENT is an error: a silently
 vanished metric would otherwise let a regression hide behind a renamed or
 dropped measurement. When the absence is expected (e.g. the baseline was
 recorded on an AVX-512 host and CI is not), pass
@@ -40,12 +49,25 @@ def load_metrics(path):
     return doc, metrics
 
 
+HIGHER_IS_BETTER = ("_per_s", "_x", "precision_bits")
+
+
+def direction(key):
+    """'lower' or 'higher' is better for a gated key; None when ignored."""
+    if key.endswith("_ms"):
+        return "lower"
+    if key.endswith(HIGHER_IS_BETTER):
+        return "higher"
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--max-regress", type=float, default=0.10,
-                    help="allowed fractional slowdown (default 0.10 = 10%%)")
+                    help="allowed fractional regression in either "
+                         "direction (default 0.10 = 10%%)")
     ap.add_argument("--prefix", default="",
                     help="only compare metric keys with this prefix")
     ap.add_argument("--allow-missing", action="append", default=[],
@@ -65,13 +87,13 @@ def main():
               file=sys.stderr)
 
     def in_scope(key):
-        if not key.endswith("_ms"):
+        if direction(key) is None:
             return False
         if args.prefix and not key.startswith(args.prefix):
             return False
         return True
 
-    rows = []      # (mark, key, old, new, ratio)
+    rows = []      # (mark, key, old, new, ratio, better)
     failures = []
     missing = []   # baseline keys absent from current and not allowed
     skipped_missing = 0
@@ -85,20 +107,24 @@ def main():
         old, new = float(base[key]), float(cur[key])
         if old <= 0.0:
             continue  # degenerate baseline cell; nothing to compare against
-        ratio = new / old
+        better = direction(key)
+        if better == "lower":
+            ratio = new / old
+        else:
+            ratio = old / new if new > 0.0 else float("inf")
         regressed = ratio > 1.0 + args.max_regress
         mark = "FAIL" if regressed else "ok"
-        rows.append((mark, key, old, new, ratio))
+        rows.append((mark, key, old, new, ratio, better))
         if regressed:
             failures.append((key, old, new, ratio))
 
     if rows:
         width = max(len(r[1]) for r in rows)
-        print(f"{'':4s} {'metric':{width}s} {'baseline':>12s} "
-              f"{'current':>12s} {'ratio':>7s}")
-        for mark, key, old, new, ratio in rows:
-            print(f"{mark:4s} {key:{width}s} {old:>9.4f} ms {new:>9.4f} ms "
-                  f"{ratio:>6.2f}x")
+        print(f"{'':4s} {'metric':{width}s} {'better':>6s} {'baseline':>12s} "
+              f"{'current':>12s} {'worse':>7s}")
+        for mark, key, old, new, ratio, better in rows:
+            print(f"{mark:4s} {key:{width}s} {better:>6s} {old:>12.4f} "
+                  f"{new:>12.4f} {ratio:>6.2f}x")
 
     only_cur = sorted(k for k in cur if k not in base and in_scope(k))
     if only_cur:
@@ -125,7 +151,7 @@ def main():
         print(f"\n{len(failures)}/{len(rows)} metric(s) regressed more than "
               f"{args.max_regress:.0%}:")
         for key, old, new, ratio in failures:
-            print(f"  {key}: {old:.4f} -> {new:.4f} ms ({ratio:.2f}x)")
+            print(f"  {key}: {old:.4f} -> {new:.4f} ({ratio:.2f}x worse)")
         ok = False
     if ok:
         print(f"all {len(rows)} compared metrics within "

@@ -103,13 +103,13 @@ main(int argc, char** argv)
 
     const std::vector<double> img = bench::random_vector(256, 1.0, 8);
     const std::vector<ckks::Ciphertext> cts = {encryptor.encrypt(enc.encode(
-        in.pack(img, ctx.slot_count()), 2, ctx.scale()))};
+        in.pack({img}, ctx.slot_count()), 2, ctx.scale()))};
     const double t = bench::time_median(bench::reps(3),
                                         [&] { (void)he.apply(eval, cts); });
     const std::vector<ckks::Ciphertext> y = he.apply(eval, cts);
     ckks::Decryptor dec(ctx, keygen.secret_key());
     const std::vector<double> got =
-        out.unpack(enc.decode(dec.decrypt(y[0])));
+        out.unpack(enc.decode(dec.decrypt(y[0])), 1)[0];
     const std::vector<double> want =
         lin::conv2d_reference(spec, w, img, 16, 16);
     std::printf("\nSISO 3x3 under encryption: %.2f ms, max err %.2e "

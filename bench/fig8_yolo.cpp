@@ -92,19 +92,19 @@ main(int argc, char** argv)
     const std::vector<double> image = bench::random_vector(
         net.shape_of(net.input_id()).size(), 1.0, 7);
     core::SimExecutor sim(cn, 1e-6);
-    const core::ExecutionResult r = sim.run(image);
+    const core::ExecutionResult r = sim.run({image});
     const std::vector<double> clear = net.forward(image);
 
-    const double prec = bench::precision_bits(r.output, clear);
+    const double prec = bench::precision_bits(r.outputs[0], clear);
     std::printf("\nFHE-vs-cleartext output precision: %.1f bits "
                 "(paper reports ~8.6b on its ResNet-34 backbone)\n",
                 prec);
 
-    if (r.output.size() < 7 * 7 * 30) {
+    if (r.outputs[0].size() < 7 * 7 * 30) {
         std::printf("(smoke stand-in model: detection decode skipped)\n");
         return 0;
     }
-    const std::vector<Detection> fhe_dets = decode_yolo(r.output, 0.05);
+    const std::vector<Detection> fhe_dets = decode_yolo(r.outputs[0], 0.05);
     const std::vector<Detection> clear_dets = decode_yolo(clear, 0.05);
     std::printf("detections (FHE): %zu, (cleartext): %zu\n",
                 fhe_dets.size(), clear_dets.size());

@@ -50,10 +50,10 @@ run_row(const Row& row)
     for (int t = 0; t < trials; ++t) {
         const std::vector<double> x =
             bench::random_vector(in_size, 1.0, 100 + t);
-        const core::ExecutionResult r = session.simulate(x);
+        const core::ExecutionResult r = session.simulate({x});
         const std::vector<double> want = net.forward(x);
-        agree += bench::same_argmax(r.output, want) ? 1 : 0;
-        prec += bench::precision_bits(r.output, want);
+        agree += bench::same_argmax(r.outputs[0], want) ? 1 : 0;
+        prec += bench::precision_bits(r.outputs[0], want);
     }
     prec /= trials;
 
@@ -68,9 +68,9 @@ run_row(const Row& row)
         fhe.compile(net, fopt);
         const std::vector<double> x =
             bench::random_vector(in_size, 1.0, 200);
-        const core::ExecutionResult r = fhe.run(x);
+        const core::ExecutionResult r = fhe.run({x});
         real_seconds = r.wall_seconds;
-        real_prec = bench::precision_bits(r.output, net.forward(x));
+        real_prec = bench::precision_bits(r.outputs[0], net.forward(x));
     }
 
     std::printf(

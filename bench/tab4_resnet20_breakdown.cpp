@@ -94,7 +94,7 @@ main(int argc, char** argv)
     const int level = 10;
     const double w_scale = static_cast<double>(ctx.q(level).value());
     const ckks::Ciphertext ct = encryptor.encrypt(enc.encode(
-        in.pack(bench::random_vector(4 * 16 * 16, 1.0, 10), dim), level,
+        in.pack({bench::random_vector(4 * 16 * 16, 1.0, 10)}, dim), level,
         ctx.scale()));
 
     const lin::HeDiagonalMatrix he(ctx, enc, *block, plan, level, w_scale);

@@ -47,15 +47,16 @@ main()
         std::vector<double> image(784);
         for (double& x : image) x = dist(rng);
         const std::vector<double> clear = net.forward(image);
-        const core::ExecutionResult r = session.run(image);
+        const core::ExecutionResult r = session.run({image});
+        const std::vector<double>& out = r.outputs[0];
         total_time += r.wall_seconds;
 
         std::size_t ic = 0, ie = 0;
         double err = 0;
         for (std::size_t i = 0; i < clear.size(); ++i) {
             if (clear[i] > clear[ic]) ic = i;
-            if (r.output[i] > r.output[ie]) ie = i;
-            err = std::max(err, std::abs(r.output[i] - clear[i]));
+            if (out[i] > out[ie]) ie = i;
+            err = std::max(err, std::abs(out[i] - clear[i]));
         }
         worst_err = std::max(worst_err, err);
         if (ic == ie) ++top1;

@@ -57,18 +57,18 @@ main()
     for (double& x : image) x = in_dist(rng);
 
     const std::vector<double> clear = session.network().forward(image);
-    const core::ExecutionResult sim_result = session.simulate(image);
-    const core::ExecutionResult fhe_result = session.run(image);
+    const core::ExecutionResult sim_result = session.simulate({image});
+    const core::ExecutionResult fhe_result = session.run({image});
 
     std::printf("\n%-10s %12s %12s %12s\n", "logit", "cleartext",
                 "simulated", "encrypted");
     for (std::size_t i = 0; i < clear.size(); ++i) {
         std::printf("%-10zu %12.6f %12.6f %12.6f\n", i, clear[i],
-                    sim_result.output[i], fhe_result.output[i]);
+                    sim_result.outputs[0][i], fhe_result.outputs[0][i]);
     }
     double err = 0;
     for (std::size_t i = 0; i < clear.size(); ++i) {
-        err = std::max(err, std::abs(fhe_result.output[i] - clear[i]));
+        err = std::max(err, std::abs(fhe_result.outputs[0][i] - clear[i]));
     }
     std::printf("\nencrypted inference: %.2f s wall, max error %.2e, "
                 "%llu rotations performed\n",

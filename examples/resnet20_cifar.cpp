@@ -57,14 +57,15 @@ main(int argc, char** argv)
     std::vector<double> image(3 * 32 * 32);
     for (double& x : image) x = dist(rng);
 
-    const core::ExecutionResult r = session.simulate(image);
+    const core::ExecutionResult r = session.simulate({image});
+    const std::vector<double>& out = r.outputs[0];
     const std::vector<double> clear = net.forward(image);
     double mean_err = 0;
     std::size_t ic = 0, ie = 0;
     for (std::size_t i = 0; i < clear.size(); ++i) {
-        mean_err += std::abs(r.output[i] - clear[i]);
+        mean_err += std::abs(out[i] - clear[i]);
         if (clear[i] > clear[ic]) ic = i;
-        if (r.output[i] > r.output[ie]) ie = i;
+        if (out[i] > out[ie]) ie = i;
     }
     mean_err /= static_cast<double>(clear.size());
     std::printf("\nFHE output precision: %.1f bits (paper: %s b); "

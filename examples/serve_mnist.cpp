@@ -59,10 +59,10 @@ run_connected(Session& session, const std::string& host, int port)
         std::vector<double> image_a(784), image_b(784);
         for (double& x : image_a) x = dist(rng);
         for (double& x : image_b) x = dist(rng);
-        const std::vector<double> want_a = session.run(image_a).output;
-        const std::vector<double> want_b = session.run(image_b).output;
-        const std::vector<double> got_a = alice_net.infer(image_a);
-        const std::vector<double> got_b = bob_net.infer(image_b);
+        const std::vector<double> want_a = session.run({image_a}).outputs[0];
+        const std::vector<double> want_b = session.run({image_b}).outputs[0];
+        const std::vector<double> got_a = alice_net.infer({image_a})[0];
+        const std::vector<double> got_b = bob_net.infer({image_b})[0];
         auto report = [&](const char* who, const std::vector<double>& got,
                           const std::vector<double>& want) {
             double err = 0.0;
@@ -174,8 +174,8 @@ main(int argc, char** argv)
         for (double& x : image_b) x = dist(rng);
 
         // Reference outputs (same program, in-process, session-keyed).
-        const std::vector<double> want_a = session.run(image_a).output;
-        const std::vector<double> want_b = session.run(image_b).output;
+        const std::vector<double> want_a = session.run({image_a}).outputs[0];
+        const std::vector<double> want_b = session.run({image_b}).outputs[0];
 
         // Both sessions in flight concurrently.
         const ckks::serial::Bytes req_a = alice.make_request(image_a);

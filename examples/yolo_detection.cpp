@@ -46,7 +46,8 @@ main()
     std::vector<double> image(3 * 448 * 448);
     for (double& x : image) x = dist(rng);
 
-    const core::ExecutionResult r = session.simulate(image);
+    const core::ExecutionResult r = session.simulate({image});
+    const std::vector<double>& out = r.outputs[0];
 
     // Decode the 7x7x30 tensor: per cell 20 class scores then 2 boxes.
     std::printf("\ntop detections (class confidence = box conf x class "
@@ -62,12 +63,12 @@ main()
                 (static_cast<std::size_t>(cy) * 7 + cx) * 30;
             int cls = 0;
             for (int c = 1; c < 20; ++c) {
-                if (r.output[base + c] > r.output[base + cls]) cls = c;
+                if (out[base + c] > out[base + cls]) cls = c;
             }
             for (int b = 0; b < 2; ++b) {
                 const double conf =
-                    r.output[base + 20 + 5 * static_cast<std::size_t>(b) + 4] *
-                    r.output[base + cls];
+                    out[base + 20 + 5 * static_cast<std::size_t>(b) + 4] *
+                    out[base + cls];
                 dets.push_back({conf, cy, cx, cls});
             }
         }
@@ -85,7 +86,7 @@ main()
     const std::vector<double> clear = net.forward(image);
     double mean_err = 0;
     for (std::size_t i = 0; i < clear.size(); ++i) {
-        mean_err += std::abs(r.output[i] - clear[i]);
+        mean_err += std::abs(out[i] - clear[i]);
     }
     mean_err /= static_cast<double>(clear.size());
     std::printf("\noutput precision vs cleartext: %.1f bits over the "

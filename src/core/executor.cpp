@@ -1,5 +1,6 @@
 #include "src/core/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -11,16 +12,6 @@
 namespace orion::core {
 
 namespace {
-
-/** Per-value bookkeeping shared by both backends. */
-struct ValueMeta {
-    int level = 0;
-};
-
-/** One tensor value of the CKKS backend: its ciphertexts. */
-struct Value {
-    std::vector<ckks::Ciphertext> cts;
-};
 
 /** Static span label of one program instruction kind. */
 const char*
@@ -50,6 +41,281 @@ charge_layer(std::vector<LayerTiming>& times, int layer_id, double seconds)
     times.push_back({layer_id, seconds});
 }
 
+double
+seconds_since(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/**
+ * The one instruction walk behind both backends. It owns everything they
+ * share: the values map, the symbolic level of every value and the
+ * operand-level checks against it, the program's bootstrap / rotation /
+ * pmult counts, one exec.* span and one layer_times charge per
+ * instruction, and the wall clock. A backend supplies only the per-op
+ * arithmetic on its Value type. Returns the kOutput operand.
+ */
+template <class Backend, class Result>
+typename Backend::Value
+walk_program(const CompiledNetwork& cn, Backend& be, Result& result)
+{
+    using Value = typename Backend::Value;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::map<int, Value> values;
+    std::map<int, int> level;
+    Value out;
+
+    for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
+        const Instruction& ins = cn.program[idx];
+        const auto ins_t0 = std::chrono::steady_clock::now();
+        telemetry::SpanGuard ins_span(op_span_name(ins.op), ins.layer_id);
+        const auto operand = [&](int v, int min_level) -> const Value& {
+            ORION_CHECK(level.at(v) >= min_level,
+                        "operand of " << describe_instruction(ins)
+                                      << " below its exec level");
+            return values.at(v);
+        };
+        switch (ins.op) {
+        case Instruction::Op::kInput:
+            values[ins.value] = be.input(ins);
+            level[ins.value] = ins.level;
+            break;
+        case Instruction::Op::kBootstrap:
+            values[ins.value] = be.bootstrap(idx, ins, operand(ins.a, 0));
+            level[ins.value] = cn.l_eff;
+            result.bootstraps += ins.cts;
+            break;
+        case Instruction::Op::kLinear: {
+            const LinearLayerData& data =
+                cn.linears[static_cast<std::size_t>(ins.payload)];
+            values[ins.value] =
+                be.linear(idx, ins, data, operand(ins.a, ins.level));
+            level[ins.value] = ins.level - 1;
+            result.rotations += data.stats.total_rotations();
+            result.pmults += data.stats.pmults;
+            break;
+        }
+        case Instruction::Op::kActivation: {
+            const ActivationData& data =
+                cn.activations[static_cast<std::size_t>(ins.payload)];
+            const Value& a = operand(ins.a, ins.level);
+            ORION_CHECK(ins.level >= data.depth,
+                        "not enough levels for activation");
+            values[ins.value] = be.activation(idx, ins, data, a);
+            level[ins.value] = ins.level - data.depth;
+            break;
+        }
+        case Instruction::Op::kMul:
+            values[ins.value] = be.mul(ins, operand(ins.a, ins.level),
+                                       operand(ins.b, ins.level));
+            level[ins.value] = ins.level - 1;
+            break;
+        case Instruction::Op::kScale:
+            values[ins.value] = be.scale(idx, ins, values.at(ins.a));
+            level[ins.value] = ins.level - 1;
+            result.pmults += ins.cts;
+            break;
+        case Instruction::Op::kAdd:
+            values[ins.value] = be.add(ins, operand(ins.a, ins.level),
+                                       operand(ins.b, ins.level));
+            level[ins.value] = ins.level;
+            break;
+        case Instruction::Op::kOutput:
+            // The values map dies with this call; no need to copy the
+            // (possibly megabytes of) output.
+            out = std::move(values.at(ins.a));
+            break;
+        }
+        charge_layer(result.layer_times, ins.layer_id,
+                     seconds_since(ins_t0));
+    }
+    result.wall_seconds = seconds_since(t0);
+    return out;
+}
+
+/** Rejects an empty batch or one beyond the program's lane capacity. */
+void
+check_batch_count(const CompiledNetwork& cn, std::size_t count)
+{
+    ORION_CHECK(count >= 1, "batch must have at least one sample");
+    ORION_CHECK(count <= static_cast<std::size_t>(cn.batch),
+                "batch_count " << count << " > program capacity "
+                               << cn.batch << " for layer "
+                               << cn.batch_limit_layer);
+}
+
+/** Checks a batch of logical inputs and scales it by input_nu. */
+std::vector<std::vector<double>>
+normalize_inputs(const CompiledNetwork& cn,
+                 const std::vector<std::vector<double>>& inputs)
+{
+    check_batch_count(cn, inputs.size());
+    std::vector<std::vector<double>> normalized = inputs;
+    for (std::vector<double>& sample : normalized) {
+        ORION_CHECK(sample.size() == cn.input_shape.size(),
+                    "input size mismatch: got "
+                        << sample.size() << ", program expects "
+                        << cn.input_shape.size());
+        for (double& x : sample) x *= cn.input_nu;
+    }
+    return normalized;
+}
+
+/** A linear layer's folded bias as one logical (c, h, w) output tensor. */
+std::vector<double>
+bias_tensor(const LinearLayerData& data)
+{
+    if (data.kind == nn::LayerKind::kLinear) return data.folded_bias;
+    const u64 hw =
+        static_cast<u64>(data.out_layout.height) * data.out_layout.width;
+    std::vector<double> t(data.out_layout.logical_size(), 0.0);
+    for (std::size_t c = 0; c < data.folded_bias.size(); ++c) {
+        std::fill_n(t.begin() + static_cast<std::ptrdiff_t>(c * hw), hw,
+                    data.folded_bias[c]);
+    }
+    return t;
+}
+
+/** Dense or convolutional layer on one cleartext sample, bias included. */
+std::vector<double>
+linear_reference(const LinearLayerData& data, const std::vector<double>& x)
+{
+    std::vector<double> y;
+    if (data.kind == nn::LayerKind::kLinear) {
+        y.assign(static_cast<std::size_t>(data.out_features), 0.0);
+        for (int r = 0; r < data.out_features; ++r) {
+            double acc = 0.0;
+            const double* w = data.folded_weights.data() +
+                              static_cast<std::size_t>(r) * data.in_features;
+            for (int c = 0; c < data.in_features; ++c) {
+                acc += w[c] * x[static_cast<std::size_t>(c)];
+            }
+            y[static_cast<std::size_t>(r)] = acc;
+        }
+    } else {
+        y = lin::conv2d_reference(data.conv, data.folded_weights, x,
+                                  data.in_layout.height,
+                                  data.in_layout.width);
+    }
+    if (!data.folded_bias.empty()) {
+        const std::vector<double> bias = bias_tensor(data);
+        for (std::size_t i = 0; i < bias.size(); ++i) y[i] += bias[i];
+    }
+    return y;
+}
+
+/**
+ * Cleartext arithmetic of the simulation backend. A value is the logical
+ * tensors of every batch lane, concatenated. Each op also charges the
+ * cost model, independently of the compiler's own total (the two
+ * agreeing checks the placement).
+ */
+struct SimBackend {
+    using Value = std::vector<double>;
+
+    const CompiledNetwork& cn;
+    const std::vector<std::vector<double>>& inputs;
+    ckks::Sampler& noise;
+    double noise_std;
+    double modeled = 0.0;
+
+    Value
+    input(const Instruction&)
+    {
+        Value v;
+        for (const std::vector<double>& x : normalize_inputs(cn, inputs)) {
+            v.insert(v.end(), x.begin(), x.end());
+        }
+        return v;
+    }
+
+    Value
+    bootstrap(std::size_t, const Instruction& ins, const Value& a)
+    {
+        modeled += static_cast<double>(ins.cts) *
+                   cn.cost_model.bootstrap(cn.l_eff);
+        Value v = a;
+        if (noise_std > 0.0) {  // normal_distribution requires sigma > 0
+            for (double& x : v) x += noise.sample_normal(noise_std);
+        }
+        return v;
+    }
+
+    Value
+    linear(std::size_t, const Instruction& ins, const LinearLayerData& data,
+           const Value& a)
+    {
+        modeled += cn.cost_model.linear_layer(data.stats, ins.level);
+        const std::size_t n = a.size() / inputs.size();
+        Value v;
+        for (auto lane = a.begin(); lane != a.end(); lane += n) {
+            const std::vector<double> y =
+                linear_reference(data, std::vector<double>(lane, lane + n));
+            v.insert(v.end(), y.begin(), y.end());
+        }
+        return v;
+    }
+
+    Value
+    activation(std::size_t, const Instruction& ins,
+               const ActivationData& data, const Value& a)
+    {
+        modeled += cn.cost_model.activation(data.stage_degrees, ins.level,
+                                            ins.cts, false);
+        Value v = a;
+        for (double& x : v) x = data.approx_f(x);
+        return v;
+    }
+
+    Value
+    mul(const Instruction& ins, const Value& a, const Value& b)
+    {
+        ORION_CHECK(a.size() == b.size(), "Mul operand size mismatch");
+        modeled += static_cast<double>(ins.cts) *
+                   (cn.cost_model.hmult(ins.level) +
+                    cn.cost_model.rescale(ins.level));
+        Value v(a.size());
+        for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] * b[i];
+        return v;
+    }
+
+    Value
+    scale(std::size_t, const Instruction& ins, const Value& a)
+    {
+        modeled += static_cast<double>(ins.cts) *
+                   (cn.cost_model.pmult(ins.level) +
+                    cn.cost_model.rescale(ins.level));
+        Value v = a;
+        for (double& x : v) x *= ins.scale_factor;
+        return v;
+    }
+
+    Value
+    add(const Instruction& ins, const Value& a, const Value& b)
+    {
+        ORION_CHECK(a.size() == b.size(), "Add operand size mismatch");
+        modeled +=
+            static_cast<double>(ins.cts) * cn.cost_model.hadd(ins.level);
+        Value v(a.size());
+        for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] + b[i];
+        return v;
+    }
+};
+
+/** The program's (unique) input instruction. */
+const Instruction&
+input_instruction(const CompiledNetwork& cn)
+{
+    const auto it = std::find_if(
+        cn.program.begin(), cn.program.end(), [](const Instruction& ins) {
+            return ins.op == Instruction::Op::kInput;
+        });
+    ORION_CHECK(it != cn.program.end(), "program has no input instruction");
+    return *it;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -63,158 +329,17 @@ SimExecutor::SimExecutor(const CompiledNetwork& cn, double bootstrap_noise_std,
 }
 
 ExecutionResult
-SimExecutor::run(const std::vector<double>& input)
+SimExecutor::run(const std::vector<std::vector<double>>& inputs)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    ORION_CHECK(input.size() == cn_->input_shape.size(),
-                "input size mismatch");
-    const CostModel& cost = cn_->cost_model;
-
-    std::map<int, std::vector<double>> values;
-    std::map<int, ValueMeta> meta;
+    SimBackend be{*cn_, inputs, noise_, noise_std_};
     ExecutionResult result;
-
-    for (const Instruction& ins : cn_->program) {
-        switch (ins.op) {
-        case Instruction::Op::kInput: {
-            std::vector<double> v(input.size());
-            for (std::size_t i = 0; i < input.size(); ++i) {
-                v[i] = cn_->input_nu * input[i];
-            }
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level};
-            break;
-        }
-        case Instruction::Op::kBootstrap: {
-            ORION_CHECK(meta.at(ins.a).level >= 0, "bad bootstrap operand");
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x += noise_.sample_normal(noise_std_);
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {cn_->l_eff};
-            result.bootstraps += ins.cts;
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) * cost.bootstrap(cn_->l_eff);
-            break;
-        }
-        case Instruction::Op::kLinear: {
-            ORION_CHECK(meta.at(ins.a).level >= ins.level,
-                        "operand below linear exec level");
-            const LinearLayerData& data =
-                cn_->linears[static_cast<std::size_t>(ins.payload)];
-            const std::vector<double>& x = values.at(ins.a);
-            std::vector<double> y;
-            if (data.kind == nn::LayerKind::kLinear) {
-                y.assign(static_cast<std::size_t>(data.out_features), 0.0);
-                for (int r = 0; r < data.out_features; ++r) {
-                    double acc = 0.0;
-                    const double* w =
-                        data.folded_weights.data() +
-                        static_cast<std::size_t>(r) * data.in_features;
-                    for (int c = 0; c < data.in_features; ++c) {
-                        acc += w[c] * x[static_cast<std::size_t>(c)];
-                    }
-                    y[static_cast<std::size_t>(r)] = acc;
-                }
-            } else {
-                y = lin::conv2d_reference(data.conv, data.folded_weights, x,
-                                          data.in_layout.height,
-                                          data.in_layout.width);
-            }
-            if (!data.folded_bias.empty()) {
-                const u64 hw = static_cast<u64>(data.out_layout.height) *
-                               data.out_layout.width;
-                if (data.kind == nn::LayerKind::kLinear) {
-                    for (std::size_t i = 0; i < y.size(); ++i) {
-                        y[i] += data.folded_bias[i];
-                    }
-                } else {
-                    for (std::size_t c = 0; c < data.folded_bias.size();
-                         ++c) {
-                        for (u64 i = 0; i < hw; ++i) {
-                            y[c * hw + i] += data.folded_bias[c];
-                        }
-                    }
-                }
-            }
-            values[ins.value] = std::move(y);
-            meta[ins.value] = {ins.level - 1};
-            result.rotations += data.stats.total_rotations();
-            result.pmults += data.stats.pmults;
-            result.modeled_latency += cost.linear_layer(data.stats,
-                                                        ins.level);
-            break;
-        }
-        case Instruction::Op::kActivation: {
-            const ActivationData& data =
-                cn_->activations[static_cast<std::size_t>(ins.payload)];
-            ORION_CHECK(meta.at(ins.a).level >= ins.level,
-                        "operand below activation exec level");
-            ORION_CHECK(ins.level >= data.depth,
-                        "not enough levels for activation");
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x = data.approx_f(x);
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level - data.depth};
-            result.modeled_latency += cost.activation(
-                data.stage_degrees, ins.level, ins.cts, false);
-            break;
-        }
-        case Instruction::Op::kMul: {
-            const std::vector<double>& a = values.at(ins.a);
-            const std::vector<double>& b = values.at(ins.b);
-            ORION_CHECK(a.size() == b.size(), "Mul operand size mismatch");
-            ORION_CHECK(meta.at(ins.a).level >= ins.level &&
-                            meta.at(ins.b).level >= ins.level,
-                        "Mul operands below exec level");
-            std::vector<double> v(a.size());
-            for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] * b[i];
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level - 1};
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) *
-                (cost.hmult(ins.level) + cost.rescale(ins.level));
-            break;
-        }
-        case Instruction::Op::kScale: {
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x *= ins.scale_factor;
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level - 1};
-            result.pmults += ins.cts;
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) *
-                (cost.pmult(ins.level) + cost.rescale(ins.level));
-            break;
-        }
-        case Instruction::Op::kAdd: {
-            const std::vector<double>& a = values.at(ins.a);
-            const std::vector<double>& b = values.at(ins.b);
-            ORION_CHECK(a.size() == b.size(), "Add operand size mismatch");
-            ORION_CHECK(meta.at(ins.a).level >= ins.level &&
-                            meta.at(ins.b).level >= ins.level,
-                        "Add operands below exec level");
-            std::vector<double> v(a.size());
-            for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] + b[i];
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level};
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) * cost.hadd(ins.level);
-            break;
-        }
-        case Instruction::Op::kOutput: {
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x /= cn_->output_nu;
-            result.output = std::move(v);
-            break;
-        }
-        }
-        if (inspect && ins.op != Instruction::Op::kOutput) {
-            inspect(ins, values.at(ins.value));
-        }
+    const std::vector<double> out = walk_program(*cn_, be, result);
+    const std::size_t n = out.size() / inputs.size();
+    for (auto lane = out.begin(); lane != out.end(); lane += n) {
+        std::vector<double>& y = result.outputs.emplace_back(lane, lane + n);
+        for (double& x : y) x /= cn_->output_nu;
     }
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.modeled_latency = be.modeled;
     return result;
 }
 
@@ -234,10 +359,10 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
                 "context needs more levels than l_eff");
     const ckks::Encoder encoder(ctx);
 
-    // Symbolic scale propagation mirrors execute_program(); every linear
-    // layer encodes
-    // its diagonals at the repair scale Delta * q_level / in_scale
-    // (Figure 7), so scales between layers are exactly Delta.
+    // Symbolic scale propagation mirrors the CKKS backend's ops; every
+    // linear layer encodes its diagonals at the repair scale
+    // Delta * q_level / in_scale (Figure 7), so scales between layers are
+    // exactly Delta.
     const double delta = ctx.scale();
     prepared_.resize(cn.program.size());
     bias_.resize(cn.program.size());
@@ -354,39 +479,15 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
                 const u64 padded =
                     std::max<u64>(1, ceil_div(data.rows, cn.slots)) *
                     cn.slots;
-                std::vector<double> slots(padded, 0.0);
                 // The bias is replicated into every batch lane; unused
                 // lanes of an under-filled request carry bias-propagated
                 // values that never leave their lane (the weight matrix
                 // is block-diagonal) and are dropped at unpack.
-                const int nb = std::max(1, data.out_layout.batch);
-                const u64 lane_stride = data.out_layout.batch_stride;
-                if (data.kind == nn::LayerKind::kLinear) {
-                    for (int b = 0; b < nb; ++b) {
-                        for (std::size_t i = 0; i < data.folded_bias.size();
-                             ++i) {
-                            slots[static_cast<u64>(b) * lane_stride + i] =
-                                data.folded_bias[i];
-                        }
-                    }
-                } else {
-                    for (int b = 0; b < nb; ++b) {
-                        for (int c = 0;
-                             c < static_cast<int>(data.folded_bias.size());
-                             ++c) {
-                            for (int y = 0; y < data.out_layout.height;
-                                 ++y) {
-                                for (int x = 0; x < data.out_layout.width;
-                                     ++x) {
-                                    slots[data.out_layout.slot_of(b, c, y,
-                                                                  x)] =
-                                        data.folded_bias
-                                            [static_cast<std::size_t>(c)];
-                                }
-                            }
-                        }
-                    }
-                }
+                const std::vector<double> slots = data.out_layout.pack(
+                    std::vector<std::vector<double>>(
+                        static_cast<std::size_t>(data.out_layout.batch),
+                        bias_tensor(data)),
+                    padded);
                 for (u64 c = 0; c * cn.slots < padded; ++c) {
                     const std::span<const double> chunk(
                         slots.data() + c * cn.slots, cn.slots);
@@ -453,41 +554,9 @@ PreparedProgram::circuit_for(std::size_t idx) const
         .get();
 }
 
-std::vector<ckks::GaloisKeyRequest>
-PreparedProgram::galois_requests() const
-{
-    // One derivation shared with clients: the server validates bundles
-    // against exactly what required_galois() tells a client to generate.
-    return required_galois(*cn_, *ctx_).requests;
-}
-
-int
-PreparedProgram::conjugation_level() const
-{
-    ORION_CHECK(bootstrap_supported(),
-                "conjugation is only needed by the bootstrap circuit");
-    return boot_plan_->conjugation_level(cn_->l_eff);
-}
-
 // ---------------------------------------------------------------------
 // Input/output packing helpers (shared with the serving client)
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** The program's (unique) input instruction. */
-const Instruction&
-input_instruction(const CompiledNetwork& cn)
-{
-    for (const Instruction& ins : cn.program) {
-        if (ins.op == Instruction::Op::kInput) return ins;
-    }
-    ORION_CHECK(false, "program has no input instruction");
-    // Unreachable; silences the missing-return warning.
-    return cn.program.front();
-}
-
-}  // namespace
 
 GaloisRequirements
 required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
@@ -515,17 +584,11 @@ std::vector<ckks::Ciphertext>
 encrypt_network_input(const CompiledNetwork& cn, const ckks::Context& ctx,
                       const ckks::Encoder& encoder,
                       ckks::Encryptor& encryptor,
-                      const std::vector<double>& input)
+                      const std::vector<std::vector<double>>& inputs)
 {
-    ORION_CHECK(input.size() == cn.input_shape.size(),
-                "input size mismatch: got " << input.size() << ", program "
-                                            << "expects "
-                                            << cn.input_shape.size());
+    const std::vector<std::vector<double>> normalized =
+        normalize_inputs(cn, inputs);
     const Instruction& ins = input_instruction(cn);
-    std::vector<double> normalized(input.size());
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        normalized[i] = cn.input_nu * input[i];
-    }
     const u64 padded = ins.cts * cn.slots;
     const std::vector<double> packed =
         cn.input_layout.pack(normalized, padded);
@@ -541,78 +604,14 @@ encrypt_network_input(const CompiledNetwork& cn, const ckks::Context& ctx,
     return cts;
 }
 
-std::vector<ckks::Ciphertext>
-encrypt_network_input_batch(const CompiledNetwork& cn,
-                            const ckks::Context& ctx,
-                            const ckks::Encoder& encoder,
-                            ckks::Encryptor& encryptor,
-                            const std::vector<std::vector<double>>& inputs)
-{
-    ORION_CHECK(!inputs.empty(), "batch must have at least one sample");
-    ORION_CHECK(inputs.size() <= static_cast<std::size_t>(cn.batch),
-                "batch_count " << inputs.size() << " > program capacity "
-                               << cn.batch << " for layer "
-                               << cn.batch_limit_layer);
-    std::vector<std::vector<double>> normalized(inputs.size());
-    for (std::size_t b = 0; b < inputs.size(); ++b) {
-        const std::vector<double>& input = inputs[b];
-        ORION_CHECK(input.size() == cn.input_shape.size(),
-                    "input size mismatch: got "
-                        << input.size() << ", program expects "
-                        << cn.input_shape.size());
-        normalized[b].resize(input.size());
-        for (std::size_t i = 0; i < input.size(); ++i) {
-            normalized[b][i] = cn.input_nu * input[i];
-        }
-    }
-    const Instruction& ins = input_instruction(cn);
-    const u64 padded = ins.cts * cn.slots;
-    const std::vector<double> packed =
-        cn.input_layout.pack_batch(normalized, padded);
-    const double delta = ctx.scale();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(ins.cts);
-    for (u64 c = 0; c < ins.cts; ++c) {
-        const std::span<const double> chunk(packed.data() + c * cn.slots,
-                                            cn.slots);
-        cts.push_back(
-            encryptor.encrypt(encoder.encode(chunk, ins.level, delta)));
-    }
-    return cts;
-}
-
-std::vector<double>
+std::vector<std::vector<double>>
 decrypt_network_output(const CompiledNetwork& cn,
                        const ckks::Encoder& encoder,
                        const ckks::Decryptor& decryptor,
-                       const std::vector<ckks::Ciphertext>& outputs)
+                       const std::vector<ckks::Ciphertext>& outputs,
+                       int batch_count)
 {
-    std::vector<double> slots;
-    slots.reserve(outputs.size() * cn.slots);
-    for (const ckks::Ciphertext& ct : outputs) {
-        const std::vector<double> part =
-            encoder.decode(decryptor.decrypt(ct));
-        slots.insert(slots.end(), part.begin(), part.end());
-    }
-    slots.resize(std::max<u64>(cn.output_layout.total_slots(), slots.size()),
-                 0.0);
-    std::vector<double> logical = cn.output_layout.unpack(slots);
-    logical.resize(cn.output_size);
-    for (double& x : logical) x /= cn.output_nu;
-    return logical;
-}
-
-std::vector<std::vector<double>>
-decrypt_network_output_batch(const CompiledNetwork& cn,
-                             const ckks::Encoder& encoder,
-                             const ckks::Decryptor& decryptor,
-                             const std::vector<ckks::Ciphertext>& outputs,
-                             int batch_count)
-{
-    ORION_CHECK(batch_count >= 1 && batch_count <= cn.batch,
-                "batch_count " << batch_count << " > program capacity "
-                               << cn.batch << " for layer "
-                               << cn.batch_limit_layer);
+    check_batch_count(cn, static_cast<std::size_t>(std::max(batch_count, 0)));
     std::vector<double> slots;
     slots.reserve(outputs.size() * cn.slots);
     for (const ckks::Ciphertext& ct : outputs) {
@@ -623,7 +622,7 @@ decrypt_network_output_batch(const CompiledNetwork& cn,
     slots.resize(std::max<u64>(cn.output_layout.total_slots(), slots.size()),
                  0.0);
     std::vector<std::vector<double>> logical =
-        cn.output_layout.unpack_batch(slots, batch_count);
+        cn.output_layout.unpack(slots, batch_count);
     for (std::vector<double>& sample : logical) {
         sample.resize(cn.output_size);
         for (double& x : sample) x /= cn.output_nu;
@@ -654,12 +653,10 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
     // Galois keys: exactly the union of rotation steps the compiled
     // program and (when present) the bootstrap circuit use, each key
     // pruned to the highest level it is used at.
-    const std::vector<ckks::GaloisKeyRequest> requests =
-        prep_->galois_requests();
+    const GaloisRequirements req = required_galois(cn, ctx);
     own_galois_ = keygen_->make_galois_keys(
-        std::span<const ckks::GaloisKeyRequest>(requests),
-        prep_->needs_conjugation(),
-        prep_->needs_conjugation() ? prep_->conjugation_level() : -1);
+        std::span<const ckks::GaloisKeyRequest>(req.requests),
+        req.conjugation, req.conjugation_level);
     // Chains too short for the real circuit keep the explicit oracle as
     // a single-party test fixture (see bootstrap.h).
     if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
@@ -683,15 +680,12 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
     ORION_CHECK(prep_->cn_ == &cn && prep_->ctx_ == &ctx,
                 "prepared program belongs to a different network or context");
     if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
-        const Instruction* boot_ins = nullptr;
-        for (const Instruction& ins : cn.program) {
-            if (ins.op == Instruction::Op::kBootstrap) {
-                boot_ins = &ins;
-                break;
-            }
-        }
-        ORION_ASSERT(boot_ins != nullptr);
-        const ckks::BootstrapPlan* plan = prep_->bootstrap_plan();
+        const auto boot_ins = std::find_if(
+            cn.program.begin(), cn.program.end(), [](const Instruction& ins) {
+                return ins.op == Instruction::Op::kBootstrap;
+            });
+        ORION_ASSERT(boot_ins != cn.program.end());
+        const ckks::BootstrapPlan* plan = prep_->boot_plan_.get();
         ORION_CHECK(false,
                     "cannot serve "
                         << describe_instruction(*boot_ins)
@@ -713,240 +707,175 @@ CkksExecutor::bind_session_keys(const ckks::KswitchKey* relin,
     eval_.set_galois_keys(galois_);
 }
 
-std::vector<ckks::Ciphertext>
-CkksExecutor::drop_all(const std::vector<ckks::Ciphertext>& in,
-                       int level) const
-{
-    std::vector<ckks::Ciphertext> out;
-    out.reserve(in.size());
-    for (const ckks::Ciphertext& ct : in) {
-        ORION_CHECK(ct.level() >= level, "value below required level");
-        ckks::Ciphertext c = ct;
-        if (c.level() > level) eval_.drop_to_level_inplace(c, level);
-        out.push_back(std::move(c));
+/**
+ * Per-op CKKS arithmetic of the walk under the executor's bound keys. It
+ * validates encrypted inputs against the kInput contract, drops operands
+ * to each op's execution level, and picks the public-key circuit or (for
+ * self-keyed executors on short chains) the oracle for each bootstrap.
+ */
+struct CkksExecutor::Backend {
+    using Value = std::vector<ckks::Ciphertext>;
+
+    CkksExecutor& ex;
+    const Value& inputs;
+    const PreparedProgram& prep = *ex.prep_;
+    const ckks::Evaluator& eval = ex.eval_;
+    const approx::HePolyEvaluator polyeval{ex.eval_};
+
+    Value
+    drop_all(const Value& in, int level) const
+    {
+        Value out;
+        out.reserve(in.size());
+        for (const ckks::Ciphertext& ct : in) {
+            ORION_CHECK(ct.level() >= level, "value below required level");
+            ckks::Ciphertext c = ct;
+            if (c.level() > level) eval.drop_to_level_inplace(c, level);
+            out.push_back(std::move(c));
+        }
+        return out;
     }
-    return out;
-}
+
+    Value
+    input(const Instruction& ins)
+    {
+        const double delta = ex.ctx_->scale();
+        ORION_CHECK(inputs.size() == ins.cts,
+                    "encrypted input has " << inputs.size()
+                                           << " ciphertexts, program "
+                                           << "expects " << ins.cts);
+        for (const ckks::Ciphertext& ct : inputs) {
+            ORION_CHECK(ct.valid() && ct.level() >= ins.level,
+                        "encrypted input below the program's input "
+                        "level " << ins.level);
+            ORION_CHECK(ct.c0.is_ntt() && ct.c1.is_ntt(),
+                        "encrypted input must be in NTT form");
+            ORION_CHECK(ckks::scales_match(ct.scale, delta),
+                        "encrypted input scale " << ct.scale
+                            << " does not match the context scale "
+                            << delta);
+        }
+        return drop_all(inputs, ins.level);
+    }
+
+    Value
+    bootstrap(std::size_t idx, const Instruction& ins, const Value& a)
+    {
+        // The real public-key circuit runs under whatever evaluation keys
+        // are bound (a serving session's, or our own).
+        const bool circuit = prep.bootstrap_supported();
+        ORION_CHECK(circuit || ex.oracle_boot_.has_value(),
+                    "cannot execute "
+                        << describe_instruction(ins)
+                        << ": the chain is too short for the public-key "
+                        << "bootstrap circuit and only self-keyed "
+                        << "executors may fall back to the oracle fixture");
+        Value v;
+        for (const ckks::Ciphertext& ct : a) {
+            v.push_back(circuit ? prep.circuit_for(idx)->bootstrap(eval, ct)
+                                : ex.oracle_boot_->bootstrap(ct));
+        }
+        return v;
+    }
+
+    Value
+    linear(std::size_t idx, const Instruction& ins, const LinearLayerData&,
+           const Value& a)
+    {
+        Value v = prep.prepared_[idx]->apply(eval, drop_all(a, ins.level));
+        const std::vector<ckks::Plaintext>& bias = prep.bias_[idx];
+        if (!bias.empty()) {
+            for (std::size_t c = 0; c < v.size(); ++c) {
+                eval.add_plain_inplace(v[c], bias[c]);
+            }
+        }
+        return v;
+    }
+
+    Value
+    activation(std::size_t idx, const Instruction& ins,
+               const ActivationData& data, const Value& a)
+    {
+        Value v;
+        for (const ckks::Ciphertext& ct : drop_all(a, ins.level)) {
+            if (data.kind == nn::ActivationSpec::Kind::kSquare) {
+                ckks::Ciphertext sq = eval.square(ct);
+                eval.rescale_inplace(sq);
+                v.push_back(std::move(sq));
+            } else {
+                v.push_back(polyeval.evaluate(data.stages[0], ct,
+                                              prep.act_target_[idx]));
+            }
+        }
+        return v;
+    }
+
+    Value
+    mul(const Instruction& ins, const Value& a_in, const Value& b_in)
+    {
+        const double delta = ex.ctx_->scale();
+        const Value a = drop_all(a_in, ins.level);
+        const Value b = drop_all(b_in, ins.level);
+        ORION_CHECK(a.size() == b.size(), "Mul ct count mismatch");
+        Value v;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ckks::Ciphertext prod = eval.mul(a[i], b[i]);
+            eval.rescale_inplace(prod);
+            ORION_ASSERT(ckks::scales_match(prod.scale, delta));
+            prod.scale = delta;
+            v.push_back(std::move(prod));
+        }
+        return v;
+    }
+
+    Value
+    scale(std::size_t idx, const Instruction& ins, const Value& a)
+    {
+        Value v = drop_all(a, ins.level);
+        for (ckks::Ciphertext& c : v) {
+            eval.mul_constant_inplace(
+                c, ins.scale_factor,
+                static_cast<double>(ex.ctx_->q(ins.level).value()));
+            eval.rescale_inplace(c);
+            c.scale = prep.in_scale_[idx];  // exact by construction
+        }
+        return v;
+    }
+
+    Value
+    add(const Instruction& ins, const Value& a_in, const Value& b_in)
+    {
+        const Value a = drop_all(a_in, ins.level);
+        const Value b = drop_all(b_in, ins.level);
+        ORION_CHECK(a.size() == b.size(), "Add ct count mismatch");
+        Value v;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            v.push_back(eval.add(a[i], b[i]));
+        }
+        return v;
+    }
+};
 
 std::vector<ckks::Ciphertext>
-CkksExecutor::encrypt_input(const std::vector<double>& input)
+CkksExecutor::encrypt_input(const std::vector<std::vector<double>>& inputs)
 {
     ORION_CHECK(encryptor_.has_value(),
                 "encrypt_input requires a self-keyed executor");
-    return encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, input);
-}
-
-std::vector<ckks::Ciphertext>
-CkksExecutor::encrypt_input_batch(
-    const std::vector<std::vector<double>>& inputs)
-{
-    ORION_CHECK(encryptor_.has_value(),
-                "encrypt_input_batch requires a self-keyed executor");
-    return encrypt_network_input_batch(*cn_, *ctx_, encoder_, *encryptor_,
-                                       inputs);
-}
-
-std::vector<double>
-CkksExecutor::decrypt_output(const std::vector<ckks::Ciphertext>& outputs)
-    const
-{
-    ORION_CHECK(decryptor_.has_value(),
-                "decrypt_output requires a self-keyed executor");
-    return decrypt_network_output(*cn_, encoder_, *decryptor_, outputs);
+    return encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, inputs);
 }
 
 std::vector<std::vector<double>>
-CkksExecutor::decrypt_output_batch(
-    const std::vector<ckks::Ciphertext>& outputs, int batch_count) const
+CkksExecutor::decrypt_output(const std::vector<ckks::Ciphertext>& outputs,
+                             int batch_count) const
 {
     ORION_CHECK(decryptor_.has_value(),
-                "decrypt_output_batch requires a self-keyed executor");
-    return decrypt_network_output_batch(*cn_, encoder_, *decryptor_,
-                                        outputs, batch_count);
-}
-
-EncryptedResult
-CkksExecutor::execute_program(const std::vector<ckks::Ciphertext>& input)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    const approx::HePolyEvaluator polyeval(eval_);
-    const double delta = ctx_->scale();
-
-    std::map<int, Value> values;
-    EncryptedResult result;
-
-    for (std::size_t idx = 0; idx < cn_->program.size(); ++idx) {
-        const Instruction& ins = cn_->program[idx];
-        const auto ins_t0 = std::chrono::steady_clock::now();
-        telemetry::SpanGuard ins_span(op_span_name(ins.op), ins.layer_id);
-        switch (ins.op) {
-        case Instruction::Op::kInput: {
-            ORION_CHECK(input.size() == ins.cts,
-                        "encrypted input has " << input.size()
-                                               << " ciphertexts, program "
-                                               << "expects " << ins.cts);
-            for (const ckks::Ciphertext& ct : input) {
-                ORION_CHECK(ct.valid() && ct.level() >= ins.level,
-                            "encrypted input below the program's input "
-                            "level " << ins.level);
-                ORION_CHECK(ct.c0.is_ntt() && ct.c1.is_ntt(),
-                            "encrypted input must be in NTT form");
-                ORION_CHECK(ckks::scales_match(ct.scale, delta),
-                            "encrypted input scale " << ct.scale
-                                << " does not match the context scale "
-                                << delta);
-            }
-            Value v;
-            v.cts = drop_all(input, ins.level);
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kBootstrap: {
-            Value v;
-            if (prep_->bootstrap_supported()) {
-                // The real public-key circuit, under whatever evaluation
-                // keys are bound (a serving session's, or our own).
-                const ckks::BootstrapCircuit* circuit =
-                    prep_->circuit_for(idx);
-                for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                    v.cts.push_back(circuit->bootstrap(eval_, ct));
-                }
-            } else {
-                ORION_CHECK(oracle_boot_.has_value(),
-                            "cannot execute "
-                                << describe_instruction(ins)
-                                << ": the chain is too short for the "
-                                << "public-key bootstrap circuit and only "
-                                << "self-keyed executors may fall back to "
-                                << "the oracle fixture");
-                for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                    v.cts.push_back(oracle_boot_->bootstrap(ct));
-                }
-            }
-            values[ins.value] = std::move(v);
-            result.bootstraps += ins.cts;
-            break;
-        }
-        case Instruction::Op::kLinear: {
-            const LinearLayerData& data =
-                cn_->linears[static_cast<std::size_t>(ins.payload)];
-            const std::vector<ckks::Ciphertext> in_cts =
-                drop_all(values.at(ins.a).cts, ins.level);
-            Value v;
-            v.cts = prep_->prepared_[idx]->apply(eval_, in_cts);
-            if (!prep_->bias_[idx].empty()) {
-                for (std::size_t c = 0; c < v.cts.size(); ++c) {
-                    eval_.add_plain_inplace(v.cts[c],
-                                            prep_->bias_[idx][c]);
-                }
-            }
-            values[ins.value] = std::move(v);
-            // Deterministic program counts (equal to the measured kernel
-            // counts; race-free when executors share one Context).
-            result.rotations += data.stats.total_rotations();
-            result.pmults += data.stats.pmults;
-            break;
-        }
-        case Instruction::Op::kActivation: {
-            const ActivationData& data =
-                cn_->activations[static_cast<std::size_t>(ins.payload)];
-            const std::vector<ckks::Ciphertext> in_cts =
-                drop_all(values.at(ins.a).cts, ins.level);
-            Value v;
-            for (const ckks::Ciphertext& ct : in_cts) {
-                if (data.kind == nn::ActivationSpec::Kind::kSquare) {
-                    ckks::Ciphertext sq = eval_.square(ct);
-                    eval_.rescale_inplace(sq);
-                    v.cts.push_back(std::move(sq));
-                } else {
-                    v.cts.push_back(polyeval.evaluate(
-                        data.stages[0], ct, prep_->act_target_[idx]));
-                }
-            }
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kMul: {
-            const std::vector<ckks::Ciphertext> a =
-                drop_all(values.at(ins.a).cts, ins.level);
-            const std::vector<ckks::Ciphertext> b =
-                drop_all(values.at(ins.b).cts, ins.level);
-            ORION_CHECK(a.size() == b.size(), "Mul ct count mismatch");
-            Value v;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                ckks::Ciphertext prod = eval_.mul(a[i], b[i]);
-                eval_.rescale_inplace(prod);
-                ORION_ASSERT(ckks::scales_match(prod.scale, delta));
-                prod.scale = delta;
-                v.cts.push_back(std::move(prod));
-            }
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kScale: {
-            const std::vector<ckks::Ciphertext> in_cts =
-                drop_all(values.at(ins.a).cts, ins.level);
-            Value v;
-            for (const ckks::Ciphertext& ct : in_cts) {
-                ckks::Ciphertext c = ct;
-                eval_.mul_constant_inplace(
-                    c, ins.scale_factor,
-                    static_cast<double>(ctx_->q(ins.level).value()));
-                eval_.rescale_inplace(c);
-                c.scale = prep_->in_scale_[idx];  // exact by construction
-                v.cts.push_back(std::move(c));
-            }
-            values[ins.value] = std::move(v);
-            result.pmults += ins.cts;
-            break;
-        }
-        case Instruction::Op::kAdd: {
-            const std::vector<ckks::Ciphertext> a =
-                drop_all(values.at(ins.a).cts, ins.level);
-            const std::vector<ckks::Ciphertext> b =
-                drop_all(values.at(ins.b).cts, ins.level);
-            ORION_CHECK(a.size() == b.size(), "Add ct count mismatch");
-            Value v;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                v.cts.push_back(eval_.add(a[i], b[i]));
-            }
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kOutput: {
-            // The values map dies with this call; no need to copy the
-            // megabytes of output ciphertexts.
-            result.outputs = std::move(values.at(ins.a).cts);
-            break;
-        }
-        }
-        // Per-layer attribution covers the op itself, not the inspect
-        // callback below (which decrypts and only runs in tests).
-        charge_layer(result.layer_times, ins.layer_id,
-                     std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - ins_t0)
-                         .count());
-        if (inspect && ins.op != Instruction::Op::kOutput) {
-            ORION_CHECK(decryptor_.has_value(),
-                        "inspect requires a self-keyed executor");
-            std::vector<double> slots;
-            for (const ckks::Ciphertext& ct : values.at(ins.value).cts) {
-                const std::vector<double> part =
-                    encoder_.decode(decryptor_->decrypt(ct));
-                slots.insert(slots.end(), part.begin(), part.end());
-            }
-            inspect(ins, slots);
-        }
-    }
-
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return result;
+                "decrypt_output requires a self-keyed executor");
+    return decrypt_network_output(*cn_, encoder_, *decryptor_, outputs,
+                                  batch_count);
 }
 
 ExecutionResult
-CkksExecutor::run(const std::vector<double>& input)
+CkksExecutor::run(const std::vector<std::vector<double>>& inputs)
 {
     const auto t0 = std::chrono::steady_clock::now();
     ORION_CHECK(encryptor_.has_value() && decryptor_.has_value(),
@@ -959,21 +888,13 @@ CkksExecutor::run(const std::vector<double>& input)
     std::optional<ScopedPoolOverride> scoped_threads;
     if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
 
-    const std::vector<ckks::Ciphertext> in_cts =
-        encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, input);
-    EncryptedResult er = execute_program(in_cts);
-
+    const std::vector<ckks::Ciphertext> in_cts = encrypt_input(inputs);
+    Backend be{*this, in_cts};
     ExecutionResult result;
-    result.output =
-        decrypt_network_output(*cn_, encoder_, *decryptor_, er.outputs);
-    result.bootstraps = er.bootstraps;
-    result.rotations = er.rotations;
-    result.pmults = er.pmults;
-    result.layer_times = std::move(er.layer_times);
+    result.outputs = decrypt_output(walk_program(*cn_, be, result),
+                                    static_cast<int>(inputs.size()));
     result.modeled_latency = cn_->modeled_latency;
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.wall_seconds = seconds_since(t0);
     return result;
 }
 
@@ -985,7 +906,11 @@ CkksExecutor::run_encrypted(const std::vector<ckks::Ciphertext>& input)
                 "(bind_session_keys)");
     std::optional<ScopedPoolOverride> scoped_threads;
     if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
-    return execute_program(input);
+    Backend be{*this, input};
+    EncryptedResult result;
+    result.outputs = walk_program(*cn_, be, result);
+    result.modeled_latency = cn_->modeled_latency;
+    return result;
 }
 
 }  // namespace orion::core

@@ -5,11 +5,15 @@
  * @file
  * Execution backends for compiled networks.
  *
- * SimExecutor runs the instruction stream functionally (cleartext values,
- * polynomial activation approximations, injected bootstrap noise) while
- * charging the analytic cost model and tracking levels exactly - this is
- * how ImageNet-scale rows of Table 2 are produced. CkksExecutor runs the
- * same instruction stream under real RNS-CKKS encryption end to end.
+ * Both backends run a program through one instruction walk; they differ
+ * only in the arithmetic of each op. SimExecutor computes in cleartext
+ * (polynomial activation approximations, injected bootstrap noise) while
+ * charging the analytic cost model - this is how ImageNet-scale rows of
+ * Table 2 are produced. CkksExecutor runs the same instruction stream
+ * under real RNS-CKKS encryption end to end.
+ *
+ * Every verb takes a batch: a single sample is a batch of one ({x}), and
+ * up to CompiledNetwork::batch samples share one program execution.
  *
  * CkksExecutor has two key modes:
  *  - self-keyed: the executor generates its own secret, can encrypt inputs
@@ -45,9 +49,15 @@ struct LayerTiming {
     double seconds = 0.0;
 };
 
-/** Outcome of one inference. */
-struct ExecutionResult {
-    std::vector<double> output;    ///< logical network output (de-normalized)
+/**
+ * Outcome of one program execution, whichever backend ran it:
+ * ExecutionResult carries the logical outputs (de-normalized, one per
+ * input sample), EncryptedResult the still-encrypted output ciphertexts
+ * of the serving path.
+ */
+template <class Output>
+struct ExecutionReport {
+    std::vector<Output> outputs;
     double modeled_latency = 0.0;  ///< cost-model seconds
     double wall_seconds = 0.0;     ///< measured wall-clock seconds
     u64 bootstraps = 0;
@@ -55,24 +65,8 @@ struct ExecutionResult {
     u64 pmults = 0;
     std::vector<LayerTiming> layer_times;
 };
-
-/** Outcome of one encrypted-domain inference (serving path). */
-struct EncryptedResult {
-    std::vector<ckks::Ciphertext> outputs;  ///< still encrypted
-    double wall_seconds = 0.0;
-    u64 bootstraps = 0;
-    u64 rotations = 0;
-    u64 pmults = 0;
-    std::vector<LayerTiming> layer_times;
-};
-
-/**
- * Optional per-instruction observer: receives the instruction and the
- * (logical/decrypted) slot values it produced. Used by integration tests
- * to localize divergence between backends.
- */
-using InspectFn =
-    std::function<void(const Instruction&, const std::vector<double>&)>;
+using ExecutionResult = ExecutionReport<std::vector<double>>;
+using EncryptedResult = ExecutionReport<ckks::Ciphertext>;
 
 /** Functional simulation backend. */
 class SimExecutor {
@@ -80,9 +74,8 @@ class SimExecutor {
     explicit SimExecutor(const CompiledNetwork& cn,
                          double bootstrap_noise_std = 1e-6, u64 seed = 5);
 
-    ExecutionResult run(const std::vector<double>& input);
-
-    InspectFn inspect;  ///< optional per-instruction observer
+    /** Simulates up to CompiledNetwork::batch samples, each in its lane. */
+    ExecutionResult run(const std::vector<std::vector<double>>& inputs);
 
   private:
     const CompiledNetwork* cn_;
@@ -108,11 +101,6 @@ class PreparedProgram {
     const CompiledNetwork& network() const { return *cn_; }
     const ckks::Context& context() const { return *ctx_; }
 
-    /** The bootstrap circuit structure; null for bootstrap-free programs. */
-    const ckks::BootstrapPlan* bootstrap_plan() const
-    {
-        return boot_plan_.get();
-    }
     /**
      * True when every bootstrap instruction can run as the real circuit
      * (the context has l_eff + l_boot levels). False either because the
@@ -121,16 +109,6 @@ class PreparedProgram {
      * via the oracle test fixture.
      */
     bool bootstrap_supported() const { return !boot_circuits_.empty(); }
-
-    /**
-     * Rotation-key requirements of the whole program: the linear layers'
-     * level-pruned steps plus (when bootstrapping) the circuit's steps.
-     * With needs_conjugation()/conjugation_level(), exactly the bundle a
-     * client must provide — nothing more is ever generated.
-     */
-    std::vector<ckks::GaloisKeyRequest> galois_requests() const;
-    bool needs_conjugation() const { return bootstrap_supported(); }
-    int conjugation_level() const;
 
   private:
     friend class CkksExecutor;
@@ -172,51 +150,36 @@ GaloisRequirements required_galois(const CompiledNetwork& cn,
                                    const ckks::Context& ctx);
 
 /**
- * Packs and encrypts a network input exactly as the program's kInput
- * instruction expects (normalization, layout packing, level, scale).
- * Shared by CkksExecutor::run and the serving client.
+ * Packs up to CompiledNetwork::batch samples into their slot lanes and
+ * encrypts them as the program's kInput instruction expects
+ * (normalization, layout packing, level, scale). The program executes
+ * once for the whole batch. Shared by CkksExecutor and the serving client.
  */
 std::vector<ckks::Ciphertext> encrypt_network_input(
-    const CompiledNetwork& cn, const ckks::Context& ctx,
-    const ckks::Encoder& encoder, ckks::Encryptor& encryptor,
-    const std::vector<double>& input);
-
-/**
- * Packs up to CompiledNetwork::batch samples into their slot lanes and
- * encrypts them as one ciphertext set (the batched kInput form). The
- * program executes once for the whole batch.
- */
-std::vector<ckks::Ciphertext> encrypt_network_input_batch(
     const CompiledNetwork& cn, const ckks::Context& ctx,
     const ckks::Encoder& encoder, ckks::Encryptor& encryptor,
     const std::vector<std::vector<double>>& inputs);
 
 /**
  * Decrypts, unpacks, and de-normalizes program outputs exactly as the
- * kOutput instruction does.
+ * kOutput instruction does: the first batch_count lanes, one per sample.
  */
-std::vector<double> decrypt_network_output(
-    const CompiledNetwork& cn, const ckks::Encoder& encoder,
-    const ckks::Decryptor& decryptor,
-    const std::vector<ckks::Ciphertext>& outputs);
-
-/** Batched decrypt: the first batch_count lanes as per-sample outputs. */
-std::vector<std::vector<double>> decrypt_network_output_batch(
+std::vector<std::vector<double>> decrypt_network_output(
     const CompiledNetwork& cn, const ckks::Encoder& encoder,
     const ckks::Decryptor& decryptor,
     const std::vector<ckks::Ciphertext>& outputs, int batch_count);
 
-/*
- * CkksExecutor honors OrionConfig::num_threads: run() installs a
- * thread-local pool override for its duration, so the executor knob
- * controls every parallel kernel underneath it without touching global
- * state (concurrent executors with different budgets are safe).
- * num_threads = 1 is bit-identical to any other setting; it simply runs
- * the kernels serially. SimExecutor is pure cleartext simulation and has
- * no parallel kernels today.
+/**
+ * Real-FHE backend over the from-scratch CKKS substrate.
+ *
+ * Honors OrionConfig::num_threads: when constructed with a `cfg`, run()
+ * and run_encrypted() install a thread-local pool override for their
+ * duration, so the knob controls every parallel kernel underneath without
+ * touching global state (concurrent executors with different budgets are
+ * safe). Without one, the executor follows the ambient setting at call
+ * time (core::set_num_threads or a caller's ScopedPoolOverride). Any
+ * thread count is bit-identical to num_threads = 1.
  */
-
-/** Real-FHE backend over the from-scratch CKKS substrate. */
 class CkksExecutor {
   public:
     /**
@@ -224,12 +187,6 @@ class CkksExecutor {
      * prepares the program (or reuses `prepared` when given). Requires the
      * program to have been compiled with matrices (structural_only =
      * false) and with l_eff < the context's max level.
-     */
-    /**
-     * When `cfg` is given, run() pins its kernels to cfg.num_threads via a
-     * thread-local pool override. Without it, the executor follows the
-     * ambient setting at run() time (core::set_num_threads or a caller's
-     * ScopedPoolOverride), so late thread-count changes take effect.
      */
     CkksExecutor(const CompiledNetwork& cn, const ckks::Context& ctx,
                  u64 seed = 7,
@@ -257,11 +214,12 @@ class CkksExecutor {
                            const ckks::GaloisKeys* galois);
 
     /**
-     * Full inference: encrypt, execute, decrypt. Self-keyed mode only.
-     * Safe to call repeatedly on one instance: all per-run state (values,
-     * levels, stats) is local to the call.
+     * Full inference of up to CompiledNetwork::batch samples: encrypt,
+     * execute once, decrypt. Self-keyed mode only. Safe to call
+     * repeatedly on one instance: all per-run state (values, levels,
+     * stats) is local to the call.
      */
-    ExecutionResult run(const std::vector<double>& input);
+    ExecutionResult run(const std::vector<std::vector<double>>& inputs);
 
     /**
      * Encrypted-domain inference: validates the input ciphertexts against
@@ -269,52 +227,29 @@ class CkksExecutor {
      * returns the still-encrypted outputs. Works in both modes; the
      * serving path never touches a secret key. Reported rotation /
      * bootstrap / pmult counts are the program's deterministic operation
-     * counts with SimExecutor's accounting (race-free when many executors
-     * share one Context): rotations equal the measured kernel counts
+     * counts, kept by the walk both backends share (race-free when many
+     * executors share one Context): rotations equal the measured kernel counts
      * (asserted against Context counters by the compiler integration
      * test); pmults cover linear layers and explicit scales but not the
      * plaintext products inside polynomial activation evaluation.
      */
     EncryptedResult run_encrypted(const std::vector<ckks::Ciphertext>& input);
 
-    /** Encrypts a logical input (self-keyed mode). */
+    /** Encrypts up to CompiledNetwork::batch samples (self-keyed mode). */
     std::vector<ckks::Ciphertext> encrypt_input(
-        const std::vector<double>& input);
-    /** Encrypts up to CompiledNetwork::batch samples into slot lanes. */
-    std::vector<ckks::Ciphertext> encrypt_input_batch(
         const std::vector<std::vector<double>>& inputs);
-    /** Decrypts encrypted-domain outputs (self-keyed mode). */
-    std::vector<double> decrypt_output(
-        const std::vector<ckks::Ciphertext>& outputs) const;
-    /** Decrypts the first batch_count lanes as per-sample outputs. */
-    std::vector<std::vector<double>> decrypt_output_batch(
+    /** Decrypts the first batch_count lanes (self-keyed mode). */
+    std::vector<std::vector<double>> decrypt_output(
         const std::vector<ckks::Ciphertext>& outputs, int batch_count) const;
 
-    /** The pinned config, or the current global one when not pinned. */
-    OrionConfig exec_config() const { return cfg_ ? *cfg_ : config(); }
-    void set_exec_config(const OrionConfig& cfg) { cfg_ = cfg; }
-
-    bool self_keyed() const { return keygen_.has_value(); }
-
-    InspectFn inspect;  ///< optional observer (decrypts intermediates!)
-
-    const ckks::SecretKey& secret_key() const
-    {
-        ORION_CHECK(keygen_.has_value(),
-                    "external-key executor holds no secret key");
-        return keygen_->secret_key();
-    }
     std::size_t galois_key_bytes() const
     {
         return galois_ ? galois_->byte_size() : 0;
     }
 
   private:
-    std::vector<ckks::Ciphertext> drop_all(
-        const std::vector<ckks::Ciphertext>& in, int level) const;
-    /** The shared instruction walk behind run() and run_encrypted(). */
-    EncryptedResult execute_program(
-        const std::vector<ckks::Ciphertext>& input);
+    /** The per-op CKKS arithmetic of the instruction walk. */
+    struct Backend;
 
     const CompiledNetwork* cn_;
     const ckks::Context* ctx_;

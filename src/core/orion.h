@@ -15,7 +15,7 @@
  *   });
  *   orion::Session session = orion::Session::toy();
  *   session.compile(*net, 1, 8, 8);
- *   auto result = session.run(image);
+ *   auto result = session.run({image});
  */
 
 #include "src/ckks/ckks.h"

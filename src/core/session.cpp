@@ -180,9 +180,15 @@ Session::prepared()
 core::CkksExecutor&
 Session::executor()
 {
-    require_compiled("executor");
-    require_context("executor");
-    require_matrices("executor");
+    return executor_for("executor");
+}
+
+core::CkksExecutor&
+Session::executor_for(const char* verb)
+{
+    require_compiled(verb);
+    require_context(verb);
+    require_matrices(verb);
     if (fhe_ == nullptr) {
         fhe_ = std::make_unique<core::CkksExecutor>(
             *compiled_, *ctx_, opts_.seed, opts_.exec_config, prepared());
@@ -191,75 +197,39 @@ Session::executor()
 }
 
 core::ExecutionResult
-Session::run(const std::vector<double>& input)
+Session::run(const std::vector<std::vector<double>>& inputs)
 {
-    require_compiled("run");
-    require_context("run");
-    return executor().run(input);
-}
-
-std::vector<std::vector<double>>
-Session::run_batch(const std::vector<std::vector<double>>& inputs)
-{
-    require_compiled("run_batch");
-    require_context("run_batch");
-    const std::vector<ckks::Ciphertext> cts =
-        executor().encrypt_input_batch(inputs);
-    const core::EncryptedResult er = executor().run_encrypted(cts);
-    return executor().decrypt_output_batch(
-        er.outputs, static_cast<int>(inputs.size()));
+    return executor_for("run").run(inputs);
 }
 
 core::ExecutionResult
-Session::simulate(const std::vector<double>& input)
+Session::simulate(const std::vector<std::vector<double>>& inputs)
 {
     require_compiled("simulate");
     if (sim_ == nullptr) {
         sim_ = std::make_unique<core::SimExecutor>(*compiled_,
                                                    opts_.sim_noise_std);
     }
-    return sim_->run(input);
-}
-
-std::vector<ckks::Ciphertext>
-Session::encrypt(const std::vector<double>& input)
-{
-    require_compiled("encrypt");
-    require_context("encrypt");
-    return executor().encrypt_input(input);
+    return sim_->run(inputs);
 }
 
 std::vector<ckks::Ciphertext>
 Session::encrypt(const std::vector<std::vector<double>>& inputs)
 {
-    require_compiled("encrypt");
-    require_context("encrypt");
-    return executor().encrypt_input_batch(inputs);
+    return executor_for("encrypt").encrypt_input(inputs);
 }
 
 core::EncryptedResult
 Session::run_encrypted(const std::vector<ckks::Ciphertext>& input)
 {
-    require_compiled("run_encrypted");
-    require_context("run_encrypted");
-    return executor().run_encrypted(input);
-}
-
-std::vector<double>
-Session::decrypt(const std::vector<ckks::Ciphertext>& outputs)
-{
-    require_compiled("decrypt");
-    require_context("decrypt");
-    return executor().decrypt_output(outputs);
+    return executor_for("run_encrypted").run_encrypted(input);
 }
 
 std::vector<std::vector<double>>
-Session::decrypt_batch(const std::vector<ckks::Ciphertext>& outputs,
-                       int batch_count)
+Session::decrypt(const std::vector<ckks::Ciphertext>& outputs,
+                 int batch_count)
 {
-    require_compiled("decrypt_batch");
-    require_context("decrypt_batch");
-    return executor().decrypt_output_batch(outputs, batch_count);
+    return executor_for("decrypt").decrypt_output(outputs, batch_count);
 }
 
 std::unique_ptr<serve::InferenceServer>

@@ -10,8 +10,12 @@
  *   orion::Session session = orion::Session::toy();
  *   session.fit(calibration_batch);             // net.fit(loader)
  *   session.compile(*net, 1, 8, 8);             // orion.compile(net)
- *   auto result = session.run(image);           // encrypted inference
- *   auto sim = session.simulate(image);         // functional backend
+ *   auto result = session.run({image});         // encrypted inference
+ *   auto sim = session.simulate({image});       // functional backend
+ *
+ * Every verb takes a batch: a single sample is a batch of one, and a
+ * program compiled with CompileOptions::batch = B serves up to B samples
+ * in one execution (result.outputs holds one output per sample).
  *
  * A Session comes in two flavors:
  *  - real-substrate (toy() / with_params()): a ckks::Context backs
@@ -103,22 +107,16 @@ class Session {
                                          int w, std::string name = "net",
                                          core::CompileOptions opt = {});
 
-    /** Full encrypted inference: encrypt + execute + decrypt. */
-    core::ExecutionResult run(const std::vector<double>& input);
-
     /**
-     * Batched encrypted inference: packs up to CompiledNetwork::batch
-     * samples into slot lanes (compile with CompileOptions::batch > 1),
-     * executes the program ONCE, and returns one output per sample.
+     * Full encrypted inference: packs up to CompiledNetwork::batch samples
+     * into slot lanes, encrypts, executes the program ONCE, and decrypts
+     * one output per sample.
      */
-    std::vector<std::vector<double>> run_batch(
-        const std::vector<std::vector<double>>& inputs);
+    core::ExecutionResult run(const std::vector<std::vector<double>>& inputs);
 
     /** Functional simulation (cost model + bootstrap noise). */
-    core::ExecutionResult simulate(const std::vector<double>& input);
-
-    /** Packs + encrypts an input as the compiled program expects. */
-    std::vector<ckks::Ciphertext> encrypt(const std::vector<double>& input);
+    core::ExecutionResult simulate(
+        const std::vector<std::vector<double>>& inputs);
 
     /** Packs + encrypts a batch of samples into their slot lanes. */
     std::vector<ckks::Ciphertext> encrypt(
@@ -128,11 +126,8 @@ class Session {
     core::EncryptedResult run_encrypted(
         const std::vector<ckks::Ciphertext>& input);
 
-    /** Decrypts + unpacks + de-normalizes program outputs. */
-    std::vector<double> decrypt(const std::vector<ckks::Ciphertext>& outputs);
-
-    /** Batched decrypt: the first batch_count lanes, one per sample. */
-    std::vector<std::vector<double>> decrypt_batch(
+    /** Decrypts + unpacks + de-normalizes the first batch_count lanes. */
+    std::vector<std::vector<double>> decrypt(
         const std::vector<ckks::Ciphertext>& outputs, int batch_count);
 
     // ---- serving (the Section 6 deployment model) ----
@@ -167,6 +162,8 @@ class Session {
     const SessionOptions& options() const { return opts_; }
 
   private:
+    /** executor(), with failed preconditions naming `verb`. */
+    core::CkksExecutor& executor_for(const char* verb);
     void require_compiled(const char* verb) const;
     void require_context(const char* verb) const;
     void require_matrices(const char* verb) const;

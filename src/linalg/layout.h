@@ -117,34 +117,14 @@ struct TensorLayout {
         return static_cast<u64>(channels) * height * width;
     }
 
-    /** Packs a logical (c, h, w)-major tensor into lane 0 of layout order. */
-    std::vector<double>
-    pack(const std::vector<double>& chw, u64 padded_size = 0) const
-    {
-        ORION_CHECK(chw.size() == logical_size(),
-                    "tensor size mismatch: " << chw.size() << " vs "
-                                             << logical_size());
-        std::vector<double> out(padded_size == 0 ? total_slots()
-                                                 : padded_size,
-                                0.0);
-        u64 idx = 0;
-        for (int c = 0; c < channels; ++c) {
-            for (int y = 0; y < height; ++y) {
-                for (int x = 0; x < width; ++x) {
-                    out[slot_of(c, y, x)] = chw[idx++];
-                }
-            }
-        }
-        return out;
-    }
-
     /**
-     * Packs up to `batch` logical tensors, sample b into lane b. Lanes
-     * beyond samples.size() stay zero.
+     * Packs up to `batch` logical (c, h, w)-major tensors, sample b into
+     * lane b (a single tensor is a batch of one: pack({t})). Lanes beyond
+     * samples.size() stay zero.
      */
     std::vector<double>
-    pack_batch(const std::vector<std::vector<double>>& samples,
-               u64 padded_size = 0) const
+    pack(const std::vector<std::vector<double>>& samples,
+         u64 padded_size = 0) const
     {
         ORION_CHECK(!samples.empty() &&
                         samples.size() <= static_cast<std::size_t>(batch),
@@ -158,41 +138,15 @@ struct TensorLayout {
             ORION_CHECK(chw.size() == logical_size(),
                         "tensor size mismatch: " << chw.size() << " vs "
                                                  << logical_size());
-            u64 idx = 0;
-            for (int c = 0; c < channels; ++c) {
-                for (int y = 0; y < height; ++y) {
-                    for (int x = 0; x < width; ++x) {
-                        out[slot_of(static_cast<int>(b), c, y, x)] =
-                            chw[idx++];
-                    }
-                }
-            }
-        }
-        return out;
-    }
-
-    /** Extracts the logical (c, h, w)-major tensor of lane 0. */
-    std::vector<double>
-    unpack(const std::vector<double>& slots) const
-    {
-        ORION_CHECK(slots.size() >= total_slots(),
-                    "slot vector too short: " << slots.size() << " vs "
-                                              << total_slots());
-        std::vector<double> out(logical_size());
-        u64 idx = 0;
-        for (int c = 0; c < channels; ++c) {
-            for (int y = 0; y < height; ++y) {
-                for (int x = 0; x < width; ++x) {
-                    out[idx++] = slots[slot_of(c, y, x)];
-                }
-            }
+            for_each_slot(static_cast<int>(b),
+                          [&](u64 slot, u64 i) { out[slot] = chw[i]; });
         }
         return out;
     }
 
     /** Extracts the first `count` batch lanes as logical tensors. */
     std::vector<std::vector<double>>
-    unpack_batch(const std::vector<double>& slots, int count) const
+    unpack(const std::vector<double>& slots, int count) const
     {
         ORION_CHECK(count >= 1 && count <= batch,
                     "batch count " << count << " exceeds layout batch "
@@ -205,16 +159,22 @@ struct TensorLayout {
         for (int b = 0; b < count; ++b) {
             std::vector<double>& chw = out[static_cast<std::size_t>(b)];
             chw.resize(logical_size());
-            u64 idx = 0;
-            for (int c = 0; c < channels; ++c) {
-                for (int y = 0; y < height; ++y) {
-                    for (int x = 0; x < width; ++x) {
-                        chw[idx++] = slots[slot_of(b, c, y, x)];
-                    }
-                }
-            }
+            for_each_slot(b, [&](u64 slot, u64 i) { chw[i] = slots[slot]; });
         }
         return out;
+    }
+
+    /** f(slot, i) for logical element i of lane b, in (c, h, w) order. */
+    template <class F>
+    void
+    for_each_slot(int b, F f) const
+    {
+        u64 idx = 0;
+        for (int c = 0; c < channels; ++c) {
+            for (int y = 0; y < height; ++y) {
+                for (int x = 0; x < width; ++x) f(slot_of(b, c, y, x), idx++);
+            }
+        }
     }
 
     bool

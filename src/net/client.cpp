@@ -133,9 +133,9 @@ NetClient::ensure_connected()
 }
 
 ckks::serial::Bytes
-NetClient::infer_raw(const std::vector<double>& input)
+NetClient::infer_raw(const std::vector<std::vector<double>>& inputs)
 {
-    const ckks::serial::Bytes request = crypto_.make_request(input);
+    const ckks::serial::Bytes request = crypto_.make_request_batch(inputs);
     std::string last_msg = "no attempts made";
     ErrCode last_code = ErrCode::kInternal;
     bool saw_wire_error = false;
@@ -189,11 +189,12 @@ NetClient::infer_raw(const std::vector<double>& input)
     throw serve::RequestError(kind, oss.str());
 }
 
-std::vector<double>
-NetClient::infer(const std::vector<double>& input)
+std::vector<std::vector<double>>
+NetClient::infer(const std::vector<std::vector<double>>& inputs)
 {
-    const ckks::serial::Bytes response = infer_raw(input);
-    return crypto_.decrypt_response(response);
+    const ckks::serial::Bytes response = infer_raw(inputs);
+    return crypto_.decrypt_response_batch(response,
+                                          static_cast<int>(inputs.size()));
 }
 
 Pong

@@ -62,10 +62,15 @@ class NetClient {
     NetClient(const NetClient&) = delete;
     NetClient& operator=(const NetClient&) = delete;
 
-    /** Encrypt, send, retry per the contract above, decrypt. */
-    std::vector<double> infer(const std::vector<double>& input);
+    /**
+     * Encrypt a batch (a single sample is {x}), send, retry per the
+     * contract above, decrypt one output per sample.
+     */
+    std::vector<std::vector<double>> infer(
+        const std::vector<std::vector<double>>& inputs);
     /** infer() without the final decrypt: the raw Response record. */
-    ckks::serial::Bytes infer_raw(const std::vector<double>& input);
+    ckks::serial::Bytes infer_raw(
+        const std::vector<std::vector<double>>& inputs);
 
     Pong ping();
     /** The peer's /metrics-style exposition text. */

@@ -46,6 +46,11 @@ FrameServer::FrameServer(Listener listener, Options opts,
 {
     ORION_CHECK(listener_.valid(), "FrameServer needs a bound listener");
     ORION_CHECK(on_frame_ != nullptr, "FrameServer needs a frame handler");
+    // Resolve the shared counters now, before any lock is held: building
+    // them takes the registry mutex, and doing that first under mu_ (the
+    // loop's accept/read paths) would invert the registry -> mu_ order the
+    // net.conn.open collector below establishes.
+    (void)loop_metrics();
     ORION_CHECK(::pipe(wake_pipe_) == 0,
                 "wake pipe creation failed: " << std::strerror(errno));
     // The loop drains the pipe non-blockingly; writers must never stall.

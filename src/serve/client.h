@@ -32,24 +32,22 @@ class ServeClient {
     void set_session_id(u64 id) { session_id_ = id; }
     u64 session_id() const { return session_id_; }
 
-    /**
-     * Packs, encrypts, and serializes one inference request (request ids
-     * are assigned sequentially).
-     */
+    /** make_request_batch({input}). */
     ckks::serial::Bytes make_request(const std::vector<double>& input);
 
     /**
-     * Packs `inputs.size()` samples into the program's batch lanes and
-     * serializes one batched request (wire v4). The sample count must not
-     * exceed the compiled network's batch capacity.
+     * Packs `inputs.size()` samples into the program's batch lanes,
+     * encrypts, and serializes one request (wire v4; request ids are
+     * assigned sequentially). The sample count must not exceed the
+     * compiled network's batch capacity.
      */
     ckks::serial::Bytes make_request_batch(
         const std::vector<std::vector<double>>& inputs);
 
-    /** Decrypts a serialized Response to the logical network output. */
+    /** decrypt_response_batch(response, 1)[0]. */
     std::vector<double> decrypt_response(std::span<const u8> response);
 
-    /** Decrypts the first `batch_count` lanes of a batched Response. */
+    /** Decrypts the first `batch_count` lanes of a serialized Response. */
     std::vector<std::vector<double>> decrypt_response_batch(
         std::span<const u8> response, int batch_count);
 

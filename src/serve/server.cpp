@@ -151,15 +151,15 @@ InferenceServer::register_session(std::span<const u8> key_bundle)
 {
     // Reject incomplete bundles at registration (with the exact missing
     // step) rather than mid-request: the client derives the same
-    // requirement set from the compiled program + bootstrap plan, so a
-    // well-behaved client never trips this.
-    const auto validate = [this](const KeyBundle& bundle) {
+    // requirement set (core::required_galois) from the compiled program +
+    // bootstrap plan, so a well-behaved client never trips this.
+    const core::GaloisRequirements need = core::required_galois(*cn_, *ctx_);
+    const auto validate = [this, &need](const KeyBundle& bundle) {
         ORION_CHECK(bundle.relin.valid() &&
                         bundle.relin.level() == ctx_->max_level(),
                     "key bundle: relinearization key missing or pruned "
                     "below the full chain");
-        for (const ckks::GaloisKeyRequest& req :
-             prepared_->galois_requests()) {
+        for (const ckks::GaloisKeyRequest& req : need.requests) {
             const u64 elt = ctx_->galois_elt(req.step);
             ORION_CHECK(bundle.galois.has(elt),
                         "key bundle: missing Galois key for rotation step "
@@ -171,17 +171,17 @@ InferenceServer::register_session(std::span<const u8> key_bundle)
                             << " but the program rotates at level "
                             << req.level);
         }
-        if (prepared_->needs_conjugation()) {
+        if (need.conjugation) {
             const u64 conj = ctx_->galois_elt_conj();
             ORION_CHECK(bundle.galois.has(conj),
                         "key bundle: missing conjugation key (element "
                             << conj << "), required by the bootstrap "
                             << "circuit's real/imaginary split");
             ORION_CHECK(bundle.galois.at(conj).level() >=
-                            prepared_->conjugation_level(),
+                            need.conjugation_level,
                         "key bundle: conjugation key pruned below the "
                         "bootstrap circuit's CoeffToSlot level "
-                            << prepared_->conjugation_level());
+                            << need.conjugation_level);
         }
     };
     return sessions_.register_session(key_bundle, validate);

@@ -98,9 +98,9 @@ TEST(Compiler, MlpCompilesAndSimulatesExactly)
 
     core::SimExecutor sim(cn, /*bootstrap_noise_std=*/0.0);
     const std::vector<double> x = random_vector(784, 1.0, 31);
-    const core::ExecutionResult r = sim.run(x);
+    const core::ExecutionResult r = sim.run({x});
     const std::vector<double> expected = net.forward(x);
-    EXPECT_LT(rel_err(r.output, expected), 1e-9);
+    EXPECT_LT(rel_err(r.outputs[0], expected), 1e-9);
     EXPECT_EQ(r.rotations, cn.total_rotations);
 }
 
@@ -118,8 +118,8 @@ TEST(Compiler, TinyResnetWithSquareActs)
     const CompiledNetwork cn = core::compile(net, toy_options(1024, 5));
     core::SimExecutor sim(cn, 0.0);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 32);
-    const core::ExecutionResult r = sim.run(x);
-    EXPECT_LT(rel_err(r.output, net.forward(x)), 1e-9);
+    const core::ExecutionResult r = sim.run({x});
+    EXPECT_LT(rel_err(r.outputs[0], net.forward(x)), 1e-9);
 }
 
 TEST(Compiler, TinyResnetWithComposteReluRegions)
@@ -128,11 +128,11 @@ TEST(Compiler, TinyResnetWithComposteReluRegions)
     const CompiledNetwork cn = core::compile(net, toy_options(1024, 6));
     core::SimExecutor sim(cn, 0.0);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 33);
-    const core::ExecutionResult r = sim.run(x);
+    const core::ExecutionResult r = sim.run({x});
     // The [3,3] composite ReLU is a crude sign approximation; compare
     // against the cleartext net loosely, and require the right argmax.
     const std::vector<double> expected = net.forward(x);
-    EXPECT_LT(rel_err(r.output, expected), 0.7);
+    EXPECT_LT(rel_err(r.outputs[0], expected), 0.7);
     // kMul instructions exist (the x * sign(x) joins).
     int muls = 0;
     for (const Instruction& ins : cn.program) {
@@ -147,8 +147,8 @@ TEST(Compiler, SiluActivationAccuracy)
     const CompiledNetwork cn = core::compile(net, toy_options(1024, 6));
     core::SimExecutor sim(cn, 0.0);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 34);
-    const core::ExecutionResult r = sim.run(x);
-    EXPECT_LT(rel_err(r.output, net.forward(x)), 0.05);
+    const core::ExecutionResult r = sim.run({x});
+    EXPECT_LT(rel_err(r.outputs[0], net.forward(x)), 0.05);
 }
 
 TEST(Compiler, DeepNetGetsBootstraps)
@@ -175,7 +175,7 @@ TEST(Compiler, DeepNetGetsBootstraps)
     EXPECT_GE(cn.num_bootstraps, 2u);
     core::SimExecutor sim(cn, 0.0);
     const std::vector<double> x = random_vector(16, 1.0, 36);
-    EXPECT_LT(rel_err(sim.run(x).output, net.forward(x)), 1e-9);
+    EXPECT_LT(rel_err(sim.run({x}).outputs[0], net.forward(x)), 1e-9);
 }
 
 TEST(Compiler, SimLatencyMatchesPlacementModel)
@@ -184,7 +184,7 @@ TEST(Compiler, SimLatencyMatchesPlacementModel)
     const CompiledNetwork cn = core::compile(net, toy_options(1024, 5));
     core::SimExecutor sim(cn, 0.0);
     const core::ExecutionResult r =
-        sim.run(random_vector(2 * 8 * 8, 1.0, 37));
+        sim.run({random_vector(2 * 8 * 8, 1.0, 37)});
     // The executor charges the same cost model the placement optimized,
     // so totals agree up to the join bookkeeping.
     EXPECT_NEAR(r.modeled_latency, cn.modeled_latency,
@@ -227,8 +227,8 @@ TEST(Compiler, RasterPackingNeedsMoreRotationsOnStridedNets)
     core::SimExecutor sim_mux(cn_mux, 0.0);
     core::SimExecutor sim_raster(cn_raster, 0.0);
     const std::vector<double> x = random_vector(2 * 16 * 16, 1.0, 39);
-    EXPECT_LT(rel_err(sim_mux.run(x).output, net.forward(x)), 1e-9);
-    EXPECT_LT(rel_err(sim_raster.run(x).output, net.forward(x)), 1e-9);
+    EXPECT_LT(rel_err(sim_mux.run({x}).outputs[0], net.forward(x)), 1e-9);
+    EXPECT_LT(rel_err(sim_raster.run({x}).outputs[0], net.forward(x)), 1e-9);
 }
 
 TEST(Compiler, DiagonalMethodNeedsMoreRotationsThanBsgs)
@@ -264,7 +264,7 @@ TEST(Compiler, MultiCiphertextTensors)
     EXPECT_EQ(cn.program.front().cts, 2u);  // input spans 2 ciphertexts
     core::SimExecutor sim(cn, 0.0);
     const std::vector<double> x = random_vector(4 * 16 * 16, 1.0, 41);
-    EXPECT_LT(rel_err(sim.run(x).output, net.forward(x)), 1e-9);
+    EXPECT_LT(rel_err(sim.run({x}).outputs[0], net.forward(x)), 1e-9);
 }
 
 TEST(Compiler, CkksExecutionMatchesSimulation)
@@ -281,18 +281,20 @@ TEST(Compiler, CkksExecutionMatchesSimulation)
     core::SimExecutor sim(cn, 0.0);
     core::CkksExecutor fhe(cn, env.ctx);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 42);
-    const core::ExecutionResult rs = sim.run(x);
+    const core::ExecutionResult rs = sim.run({x});
     const ckks::OpCounters before = env.ctx.counters();
-    const core::ExecutionResult rf = fhe.run(x);
+    const core::ExecutionResult rf = fhe.run({x});
     const ckks::OpCounters after = env.ctx.counters();
 
-    ASSERT_EQ(rf.output.size(), rs.output.size());
-    const double err = rel_err(rf.output, rs.output);
+    const std::vector<double>& fhe_out = rf.outputs[0];
+    const std::vector<double>& sim_out = rs.outputs[0];
+    ASSERT_EQ(fhe_out.size(), sim_out.size());
+    const double err = rel_err(fhe_out, sim_out);
     EXPECT_LT(err, 1e-2);
     // Precision in bits, as reported in Table 2.
     double abs_err = 1e-12;
-    for (std::size_t i = 0; i < rf.output.size(); ++i) {
-        abs_err = std::max(abs_err, std::abs(rf.output[i] - rs.output[i]));
+    for (std::size_t i = 0; i < fhe_out.size(); ++i) {
+        abs_err = std::max(abs_err, std::abs(fhe_out[i] - sim_out[i]));
     }
     const double precision_bits = -std::log2(abs_err);
     EXPECT_GT(precision_bits, 4.0);
@@ -301,6 +303,42 @@ TEST(Compiler, CkksExecutionMatchesSimulation)
     EXPECT_EQ(after.total_rotations() - before.total_rotations(),
               cn.total_rotations);
     EXPECT_EQ(rf.rotations, cn.total_rotations);
+}
+
+TEST(Compiler, BothBackendsKeepTheSameBooks)
+{
+    // One instruction walk drives both backends, so the simulator and real
+    // CKKS report the same program counts and charge wall time to the same
+    // layers in the same order - with and without a compiler-placed
+    // bootstrap (l_eff 2 cannot fit the depth-3 micro MLP).
+    CkksEnv& env = CkksEnv::shared();
+    const Network net = nn::make_micro_mlp();
+    for (const int l_eff : {4, 2}) {
+        CompileOptions opt = toy_options(env.ctx.slot_count(), l_eff);
+        opt.structural_only = false;
+        const CompiledNetwork cn = core::compile(net, opt);
+        ASSERT_EQ(cn.num_bootstraps > 0, l_eff == 2);
+
+        core::SimExecutor sim(cn, 0.0);
+        core::CkksExecutor fhe(cn, env.ctx);
+        const std::vector<double> x = random_vector(64, 0.3, 44);
+        const core::ExecutionResult rs = sim.run({x});
+        const core::ExecutionResult rf = fhe.run({x});
+
+        EXPECT_EQ(rs.bootstraps, cn.num_bootstraps);
+        EXPECT_EQ(rs.bootstraps, rf.bootstraps) << "l_eff " << l_eff;
+        EXPECT_EQ(rs.rotations, rf.rotations) << "l_eff " << l_eff;
+        EXPECT_EQ(rs.pmults, rf.pmults) << "l_eff " << l_eff;
+        const auto layer_ids = [](const core::ExecutionResult& r) {
+            std::vector<int> ids;
+            for (const core::LayerTiming& t : r.layer_times) {
+                ids.push_back(t.layer_id);
+            }
+            return ids;
+        };
+        EXPECT_FALSE(rs.layer_times.empty());
+        EXPECT_EQ(layer_ids(rs), layer_ids(rf)) << "l_eff " << l_eff;
+    }
 }
 
 }  // namespace

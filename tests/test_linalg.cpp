@@ -311,11 +311,11 @@ TEST(BatchedLayout, PackUnpackRoundTripAdversarialCombos)
             samples.push_back(random_vector(
                 l.logical_size(), 1.0, 100 + static_cast<u64>(b)));
         }
-        const std::vector<double> slots = l.pack_batch(samples);
+        const std::vector<double> slots = l.pack(samples);
         ASSERT_EQ(slots.size(), l.total_slots());
 
-        // Full round trip, plus lane 0 via the single-sample unpack.
-        const auto back = l.unpack_batch(slots, k.batch);
+        // Full round trip, plus lane 0 alone as a batch of one.
+        const auto back = l.unpack(slots, k.batch);
         ASSERT_EQ(back.size(), samples.size());
         for (int b = 0; b < k.batch; ++b) {
             EXPECT_EQ(back[static_cast<std::size_t>(b)],
@@ -323,14 +323,14 @@ TEST(BatchedLayout, PackUnpackRoundTripAdversarialCombos)
                 << "lane " << b << " (c=" << k.c << " gap=" << k.gap
                 << " batch=" << k.batch << ")";
         }
-        EXPECT_EQ(l.unpack(slots), samples[0]);
+        EXPECT_EQ(l.unpack(slots, 1)[0], samples[0]);
 
         // Under-filled pack: remaining lanes must stay zero.
         if (k.batch > 1) {
             const std::vector<std::vector<double>> some(samples.begin(),
                                                         samples.begin() + 1);
-            const std::vector<double> partial = l.pack_batch(some);
-            const auto lanes = l.unpack_batch(partial, k.batch);
+            const std::vector<double> partial = l.pack(some);
+            const auto lanes = l.unpack(partial, k.batch);
             EXPECT_EQ(lanes[0], samples[0]);
             for (std::size_t b = 1; b < lanes.size(); ++b) {
                 for (const double v : lanes[b]) EXPECT_EQ(v, 0.0);
@@ -344,10 +344,10 @@ TEST(BatchedLayout, UnpackRejectsShortSlotVector)
     const lin::TensorLayout l =
         lin::TensorLayout(2, 4, 4, 1).with_batch(4, 64);
     const std::vector<double> short_slots(l.total_slots() - 1, 0.0);
-    expect_throw_contains<Error>([&] { (void)l.unpack(short_slots); },
+    expect_throw_contains<Error>([&] { (void)l.unpack(short_slots, 1); },
                                  "slot vector too short");
     expect_throw_contains<Error>(
-        [&] { (void)l.unpack_batch(short_slots, 4); },
+        [&] { (void)l.unpack(short_slots, 4); },
         "slot vector too short");
 }
 
@@ -418,11 +418,12 @@ TEST(BatchedToeplitz, BatchedLinearMatchesPerSampleApply)
         samples.push_back(
             random_vector(in.logical_size(), 1.0, 50 + static_cast<u64>(b)));
     }
-    std::vector<double> packed = bin.pack_batch(samples);
+    std::vector<double> packed = bin.pack(samples);
     packed.resize(mB.cols(), 0.0);
     const std::vector<double> y = mB.apply(packed);
     for (int b = 0; b < batch; ++b) {
-        std::vector<double> x = in.pack(samples[static_cast<std::size_t>(b)]);
+        std::vector<double> x =
+            in.pack({samples[static_cast<std::size_t>(b)]});
         x.resize(m1.cols(), 0.0);
         const std::vector<double> yb = m1.apply(x);
         for (int r = 0; r < out_features; ++r) {

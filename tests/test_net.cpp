@@ -363,8 +363,8 @@ TEST(NetEndpoint, ServedMatchesDirectExecution)
     for (int round = 0; round < 2; ++round) {
         const std::vector<double> x =
             random_vector(64, 1.0, 900 + static_cast<u64>(round));
-        const std::vector<double> want = direct.run(x).output;
-        const std::vector<double> got = client.infer(x);
+        const std::vector<double> want = direct.run({x}).outputs[0];
+        const std::vector<double> got = client.infer({x})[0];
         ASSERT_EQ(got.size(), want.size());
         EXPECT_LT(max_abs_diff(got, want), 1e-3);
         EXPECT_EQ(argmax(got), argmax(want));
@@ -429,11 +429,11 @@ TEST(NetEndpoint, OverloadedIsTypedAndRetryable)
         server.resume();
     });
     const std::vector<double> x = random_vector(64, 1.0, 911);
-    const std::vector<double> out = client.infer(x);
+    const std::vector<double> out = client.infer({x})[0];
     release.join();
     core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
                               senv.prepared);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run({x}).outputs[0];
     ASSERT_EQ(out.size(), want.size());
     EXPECT_LT(max_abs_diff(out, want), 1e-3);
     EXPECT_GT(client.retry_stats().retries, 0u);
@@ -492,8 +492,8 @@ TEST(NetRouter, ShardsSessionsAndSurvivesShardDeath)
 
     auto run_and_check = [&](net::NetClient& c, u64 seed) {
         const std::vector<double> x = random_vector(64, 1.0, seed);
-        const std::vector<double> want = direct.run(x).output;
-        const std::vector<double> got = c.infer(x);
+        const std::vector<double> want = direct.run({x}).outputs[0];
+        const std::vector<double> got = c.infer({x})[0];
         ASSERT_EQ(got.size(), want.size());
         EXPECT_LT(max_abs_diff(got, want), 1e-3);
         EXPECT_EQ(argmax(got), argmax(want));

@@ -73,24 +73,24 @@ TEST(Serve, BackToBackRunsOnOneExecutorAgree)
                             senv.prepared);
     const std::vector<double> x = random_vector(64, 1.0, 61);
 
-    const core::ExecutionResult r1 = exec.run(x);
-    const core::ExecutionResult r2 = exec.run(x);
-    ASSERT_EQ(r1.output.size(), r2.output.size());
+    const core::ExecutionResult r1 = exec.run({x});
+    const core::ExecutionResult r2 = exec.run({x});
+    ASSERT_EQ(r1.outputs[0].size(), r2.outputs[0].size());
     // Fresh encryption noise differs per run; results agree to CKKS
     // precision and all deterministic stats match exactly.
-    EXPECT_LT(max_abs_diff(r1.output, r2.output), 1e-3);
+    EXPECT_LT(max_abs_diff(r1.outputs[0], r2.outputs[0]), 1e-3);
     EXPECT_EQ(r1.rotations, r2.rotations);
     EXPECT_EQ(r1.pmults, r2.pmults);
     EXPECT_EQ(r1.bootstraps, r2.bootstraps);
     EXPECT_EQ(r1.rotations, senv.cn.total_rotations);
 
     // Encrypted-domain reruns on the same instance as well.
-    const std::vector<ckks::Ciphertext> in_cts = exec.encrypt_input(x);
+    const std::vector<ckks::Ciphertext> in_cts = exec.encrypt_input({x});
     const core::EncryptedResult e1 = exec.run_encrypted(in_cts);
     const core::EncryptedResult e2 = exec.run_encrypted(in_cts);
     EXPECT_EQ(e1.rotations, e2.rotations);
-    EXPECT_LT(max_abs_diff(exec.decrypt_output(e1.outputs),
-                           exec.decrypt_output(e2.outputs)),
+    EXPECT_LT(max_abs_diff(exec.decrypt_output(e1.outputs, 1)[0],
+                           exec.decrypt_output(e2.outputs, 1)[0]),
               1e-6);  // same input ciphertexts -> same encrypted outputs
 }
 
@@ -117,8 +117,8 @@ TEST(Serve, TwoSessionsEndToEndMatchDirectExecution)
 
     const std::vector<double> xa = random_vector(64, 1.0, 71);
     const std::vector<double> xb = random_vector(64, 1.0, 72);
-    const std::vector<double> want_a = direct.run(xa).output;
-    const std::vector<double> want_b = direct.run(xb).output;
+    const std::vector<double> want_a = direct.run({xa}).outputs[0];
+    const std::vector<double> want_b = direct.run({xb}).outputs[0];
 
     // Both sessions in flight concurrently, through the full
     // serialize -> submit -> execute -> deserialize -> decrypt path.
@@ -175,7 +175,7 @@ TEST(Serve, OneWorkerServesManySessionsByRebinding)
     bob.set_session_id(server.register_session(bob.key_bundle()));
 
     const std::vector<double> x = random_vector(64, 1.0, 73);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run({x}).outputs[0];
     for (int round = 0; round < 2; ++round) {
         auto fa = server.submit(alice.make_request(x));
         auto fb = server.submit(bob.make_request(x));
@@ -322,7 +322,7 @@ TEST(Serve, LegacyV2KeyBundleStillRegistersAndServes)
 
     client.set_session_id(server.register_session(v2));
     const std::vector<double> x = random_vector(64, 1.0, 83);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run({x}).outputs[0];
     auto fut = server.submit(client.make_request(x));
     EXPECT_LT(max_abs_diff(client.decrypt_response(fut.get().response),
                            want),
@@ -390,7 +390,7 @@ TEST(Serve, ConcurrentMixedSessionsUnderLoad)
         for (int c = 0; c < kClients; ++c) {
             inputs.push_back(random_vector(64, 1.0,
                                            800 + static_cast<u64>(r * 8 + c)));
-            want.push_back(direct.run(inputs.back()).output);
+            want.push_back(direct.run({inputs.back()}).outputs[0]);
             futures.push_back(
                 server.submit(clients[static_cast<std::size_t>(c)]
                                   ->make_request(inputs.back())));
@@ -456,7 +456,7 @@ TEST(Serve, BoundedKeyCacheEvictsAndReloadsUnderChurn)
     // Round-robin requests over every session: the worst case for LRU,
     // so evicted sessions reload from their spill files mid-request.
     const std::vector<double> x = random_vector(64, 1.0, 81);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run({x}).outputs[0];
     std::vector<ckks::serial::Bytes> requests;
     for (const u64 id : ids) {
         client.set_session_id(id);
@@ -984,7 +984,7 @@ TEST(ServeBatch, BatchedRequestMatchesPerSampleExecution)
     ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         const std::vector<double> want =
-            direct.run(inputs[static_cast<std::size_t>(i)]).output;
+            direct.run({inputs[static_cast<std::size_t>(i)]}).outputs[0];
         ASSERT_EQ(got[static_cast<std::size_t>(i)].size(), want.size());
         EXPECT_LT(max_abs_diff(got[static_cast<std::size_t>(i)], want),
                   1e-3)
@@ -1098,7 +1098,7 @@ TEST(ServeBatch, SingleSampleProgramBitIdenticalAcrossBatchKnob)
                               senv.prepared);
     core::CkksExecutor batched(cn1, env.ctx, /*seed=*/7);
     const std::vector<double> x = random_vector(64, 1.0, 730);
-    const std::vector<ckks::Ciphertext> in_cts = legacy.encrypt_input(x);
+    const std::vector<ckks::Ciphertext> in_cts = legacy.encrypt_input({x});
 
     const auto output_bytes = [&](core::CkksExecutor& exec) {
         const core::EncryptedResult r = exec.run_encrypted(in_cts);

@@ -43,13 +43,13 @@ TEST(Session, ToyPipelineMatchesCleartext)
 
     const std::vector<double> x = random_vector(64, 1.0, 31);
     const std::vector<double> clear = session.network().forward(x);
-    const core::ExecutionResult fhe = session.run(x);
-    ASSERT_EQ(fhe.output.size(), clear.size());
-    EXPECT_LT(max_abs_diff(fhe.output, clear), 1e-2);
+    const core::ExecutionResult fhe = session.run({x});
+    ASSERT_EQ(fhe.outputs[0].size(), clear.size());
+    EXPECT_LT(max_abs_diff(fhe.outputs[0], clear), 1e-2);
 
     // Simulation agrees with the same program.
-    const core::ExecutionResult sim = session.simulate(x);
-    EXPECT_LT(max_abs_diff(sim.output, clear), 1e-2);
+    const core::ExecutionResult sim = session.simulate({x});
+    EXPECT_LT(max_abs_diff(sim.outputs[0], clear), 1e-2);
 }
 
 TEST(Session, EncryptRunEncryptedDecryptMatchesRun)
@@ -59,18 +59,18 @@ TEST(Session, EncryptRunEncryptedDecryptMatchesRun)
     session.compile(*net, 1, 8, 8, "micro", fast_opts());
 
     const std::vector<double> x = random_vector(64, 1.0, 32);
-    const std::vector<double> direct = session.run(x).output;
+    const std::vector<double> direct = session.run({x}).outputs[0];
 
-    const std::vector<ckks::Ciphertext> cts = session.encrypt(x);
+    const std::vector<ckks::Ciphertext> cts = session.encrypt({x});
     const core::EncryptedResult enc = session.run_encrypted(cts);
-    const std::vector<double> out = session.decrypt(enc.outputs);
+    const std::vector<double> out = session.decrypt(enc.outputs, 1)[0];
     ASSERT_EQ(out.size(), direct.size());
     // Fresh encryption noise differs per call; both runs decrypt to the
     // same logical outputs.
     EXPECT_LT(max_abs_diff(out, direct), 1e-3);
 }
 
-TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
+TEST(Session, BatchRunExecutesOnceAndMatchesCleartext)
 {
     auto net = micro_module();
     Session session = Session::toy();
@@ -83,7 +83,8 @@ TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
     for (int i = 0; i < 4; ++i) {
         inputs.push_back(random_vector(64, 1.0, 40 + static_cast<u64>(i)));
     }
-    const std::vector<std::vector<double>> outs = session.run_batch(inputs);
+    const std::vector<std::vector<double>> outs =
+        session.run(inputs).outputs;
     ASSERT_EQ(outs.size(), inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         const std::vector<double> clear =
@@ -92,14 +93,22 @@ TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
         EXPECT_LT(max_abs_diff(outs[i], clear), 1e-2) << "lane " << i;
     }
 
-    // The explicit encrypt/run/decrypt spelling agrees with run_batch.
+    // The explicit encrypt/run_encrypted/decrypt spelling agrees.
     const std::vector<ckks::Ciphertext> cts = session.encrypt(inputs);
     const core::EncryptedResult enc = session.run_encrypted(cts);
     const std::vector<std::vector<double>> outs2 =
-        session.decrypt_batch(enc.outputs, static_cast<int>(inputs.size()));
+        session.decrypt(enc.outputs, static_cast<int>(inputs.size()));
     ASSERT_EQ(outs2.size(), outs.size());
     for (std::size_t i = 0; i < outs.size(); ++i) {
         EXPECT_LT(max_abs_diff(outs2[i], outs[i]), 1e-3);
+    }
+
+    // The simulator takes the same batch, one output per lane.
+    const std::vector<std::vector<double>> sims =
+        session.simulate(inputs).outputs;
+    ASSERT_EQ(sims.size(), outs.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+        EXPECT_LT(max_abs_diff(sims[i], outs[i]), 1e-2) << "lane " << i;
     }
 }
 
@@ -138,12 +147,12 @@ TEST(Session, SimulationOnlySessionSimulatesButCannotRun)
     EXPECT_EQ(cn.l_eff, 10);
 
     const std::vector<double> x = random_vector(3 * 32 * 32, 1.0, 33);
-    const core::ExecutionResult r = session.simulate(x);
-    EXPECT_EQ(r.output.size(), 10u);
+    const core::ExecutionResult r = session.simulate({x});
+    EXPECT_EQ(r.outputs[0].size(), 10u);
 
-    expect_throw_contains<Error>([&] { session.run(x); },
+    expect_throw_contains<Error>([&] { session.run({x}); },
                                  "simulation-only");
-    expect_throw_contains<Error>([&] { session.encrypt(x); },
+    expect_throw_contains<Error>([&] { session.encrypt({x}); },
                                  "simulation-only");
     expect_throw_contains<Error>([&] { (void)session.context(); },
                                  "simulation-only");
@@ -153,9 +162,9 @@ TEST(Session, VerbsBeforeCompileThrow)
 {
     Session session = Session::toy();
     const std::vector<double> x(64, 0.0);
-    expect_throw_contains<Error>([&] { session.run(x); },
+    expect_throw_contains<Error>([&] { session.run({x}); },
                                  "before compile()");
-    expect_throw_contains<Error>([&] { session.simulate(x); },
+    expect_throw_contains<Error>([&] { session.simulate({x}); },
                                  "before compile()");
     expect_throw_contains<Error>([&] { (void)session.compiled(); },
                                  "before compile()");
@@ -172,12 +181,12 @@ TEST(Session, StructuralProgramsRefuseTheCkksBackend)
     session.compile(net, opt);
 
     const std::vector<double> x = random_vector(64, 1.0, 34);
-    EXPECT_EQ(session.simulate(x).output.size(), 5u);
-    expect_throw_contains<Error>([&] { session.run(x); },
+    EXPECT_EQ(session.simulate({x}).outputs[0].size(), 5u);
+    expect_throw_contains<Error>([&] { session.run({x}); },
                                  "structural_only");
     // The rejection names the offending instruction, not just "the
     // program": kind plus originating layer id.
-    expect_throw_contains<Error>([&] { session.run(x); },
+    expect_throw_contains<Error>([&] { session.run({x}); },
                                  "kLinear (layer");
 }
 
@@ -187,19 +196,19 @@ TEST(Session, RecompileInvalidatesDerivedState)
     auto a = micro_module();
     session.compile(*a, 1, 8, 8, "a", fast_opts());
     const std::vector<double> x = random_vector(64, 1.0, 35);
-    EXPECT_EQ(session.run(x).output.size(), 5u);
+    EXPECT_EQ(session.run({x}).outputs[0].size(), 5u);
 
     // A different head: 3 outputs instead of 5.
     auto b = nn::Sequential(
         {nn::Flatten(), nn::Linear(64, 16), nn::Square(),
          nn::Linear(16, 3)});
     session.compile(*b, 1, 8, 8, "b", fast_opts());
-    EXPECT_EQ(session.run(x).output.size(), 3u);
+    EXPECT_EQ(session.run({x}).outputs[0].size(), 3u);
     EXPECT_EQ(session.network().network_name(), "b");
 
     // Recompiling from a raw Network drops the previously lowered IR.
     session.compile(nn::make_micro_mlp(), fast_opts());
-    EXPECT_EQ(session.run(x).output.size(), 5u);
+    EXPECT_EQ(session.run({x}).outputs[0].size(), 5u);
     expect_throw_contains<Error>([&] { (void)session.network(); },
                                  "module-tree compile()");
 }
@@ -220,7 +229,7 @@ TEST(Session, ServePathSharesTheSessionPipeline)
     client.set_session_id(server->register_session(client.key_bundle()));
 
     const std::vector<double> x = random_vector(64, 1.0, 36);
-    const std::vector<double> want = session.run(x).output;
+    const std::vector<double> want = session.run({x}).outputs[0];
 
     auto fut = server->submit(client.make_request(x));
     const serve::ServeReply reply = fut.get();

@@ -53,7 +53,7 @@ TEST(Layout, PackUnpackRoundTrip)
         const TensorLayout l(8, 4, 4, gap);
         const std::vector<double> t =
             random_vector(l.logical_size(), 1.0, 13 + gap);
-        EXPECT_EQ(l.unpack(l.pack(t)), t) << "gap " << gap;
+        EXPECT_EQ(l.unpack(l.pack({t}), 1)[0], t) << "gap " << gap;
     }
 }
 
@@ -101,7 +101,7 @@ TEST_P(ToeplitzConvTest, MatrixMatchesReferenceConv)
     const BlockedMatrix m = lin::build_conv_matrix(spec, weights, in, out,
                                                    block_dim);
     const std::vector<double> packed_in =
-        in.pack(input, m.col_blocks() * block_dim);
+        in.pack({input}, m.col_blocks() * block_dim);
     const std::vector<double> y = m.apply(packed_in);
 
     const std::vector<double> expected =
@@ -192,7 +192,7 @@ TEST(Toeplitz, LinearLayerMatchesDense)
     const u64 block_dim = 1u << 12;
     const BlockedMatrix m =
         lin::build_linear_matrix(out_features, in_features, w, in, block_dim);
-    const std::vector<double> y = m.apply(in.pack(x, block_dim));
+    const std::vector<double> y = m.apply(in.pack({x}, block_dim));
     for (int r = 0; r < out_features; ++r) {
         double expect = 0;
         for (int c = 0; c < in_features; ++c) {
@@ -212,7 +212,7 @@ TEST(Toeplitz, AvgPoolMatchesReference)
     const BlockedMatrix m = lin::build_avgpool_matrix(2, 2, in, out,
                                                       block_dim);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 106);
-    const std::vector<double> y = m.apply(in.pack(x, block_dim));
+    const std::vector<double> y = m.apply(in.pack({x}, block_dim));
     for (int c = 0; c < 2; ++c) {
         for (int oy = 0; oy < 4; ++oy) {
             for (int ox = 0; ox < 4; ++ox) {
@@ -249,8 +249,8 @@ TEST(Toeplitz, ChannelScaleFoldsIntoMatrix)
     const BlockedMatrix plain =
         lin::build_conv_matrix(spec, w, in, out, block_dim);
     const std::vector<double> x = random_vector(2 * 4 * 4, 1.0, 108);
-    const std::vector<double> ys = scaled.apply(in.pack(x, block_dim));
-    const std::vector<double> yp = plain.apply(in.pack(x, block_dim));
+    const std::vector<double> ys = scaled.apply(in.pack({x}, block_dim));
+    const std::vector<double> yp = plain.apply(in.pack({x}, block_dim));
     for (int c = 0; c < 2; ++c) {
         for (int i = 0; i < 16; ++i) {
             const u64 slot = out.slot_of(c, i / 4, i % 4);
@@ -297,13 +297,13 @@ TEST(Toeplitz, HomomorphicConvolutionEndToEnd)
 
     const std::vector<double> input = random_vector(2 * 16 * 16, 1.0, 110);
     const std::vector<ckks::Ciphertext> cts = {
-        encrypt_vector(env, in.pack(input, slots), level)};
+        encrypt_vector(env, in.pack({input}, slots), level)};
     const std::vector<ckks::Ciphertext> outs = he.apply(eval, cts);
     ASSERT_EQ(outs.size(), 1u);
     EXPECT_EQ(outs[0].level(), level - 1);  // single-shot: depth 1
 
     const std::vector<double> got_slots = decrypt_vector(env, outs[0]);
-    const std::vector<double> got = out.unpack(got_slots);
+    const std::vector<double> got = out.unpack(got_slots, 1)[0];
     const std::vector<double> expected =
         lin::conv2d_reference(spec, weights, input, 16, 16);
     EXPECT_LT(max_abs_diff(got, expected), 1e-2);

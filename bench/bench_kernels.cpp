@@ -2,7 +2,8 @@
  * @file
  * RNS kernel microbenchmark: the three limb-level hot paths that dominate
  * end-to-end latency (PAPER.md Section 3) — NTT forward/inverse butterflies,
- * the key-switch inner product, and BSGS rotation accumulation. This is the
+ * the key-switch stages (decompose, inner product, mod-down), and BSGS
+ * rotation accumulation. This is the
  * binary behind the repo's kernel perf trajectory: run with
  * `--json BENCH_kernels.json` before and after a kernel change and compare
  * the per-op metrics.
@@ -203,15 +204,26 @@ main(int argc, char** argv)
     const double t_dec = bench::time_median(bench::reps(5), [&] {
         (void)switcher.decompose(ct.c1);
     });
+    // Stage 3 on one extended polynomial at max level (the accumulator
+    // above); each timed call works on a copy made outside the clock.
+    std::vector<double> md_times;
+    for (int i = 0; i < bench::reps(5) * ks_iters; ++i) {
+        ckks::RnsPoly a = acc0;
+        md_times.push_back(bench::time_once([&] { a.mod_down_special(); }));
+    }
+    std::sort(md_times.begin(), md_times.end());
+    const double t_md = md_times[md_times.size() / 2];
 
     std::printf("\nkey switch (N = %llu, %d digits, level %d)\n",
                 static_cast<unsigned long long>(ctx.degree()),
                 ctx.num_digits(level), level);
     std::printf("  decompose:     %10.4f ms\n", t_dec * 1e3);
     std::printf("  inner product: %10.4f ms\n", t_ip * 1e3);
+    std::printf("  mod down:      %10.4f ms\n", t_md * 1e3);
     bench::json_metric("ks_degree", static_cast<double>(ctx.degree()));
     bench::json_metric("ks_decompose_ms", t_dec * 1e3);
     bench::json_metric("ks_inner_product_ms", t_ip * 1e3);
+    bench::json_metric("ks_mod_down_ms", t_md * 1e3);
 
     // ---- rotation accumulation (the BSGS giant-step primitive) ------
     const int acc_iters = bench::smoke() ? 1 : 5;

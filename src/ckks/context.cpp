@@ -71,6 +71,51 @@ Context::Context(const CkksParams& params) : params_(params)
         p_prod_mod_q_[static_cast<std::size_t>(j)] = prod;
     }
 
+    // ModDown base-conversion constants (P = prod p_i, P/p_i = prod over
+    // the other special primes).
+    const auto ks = static_cast<std::size_t>(num_special_);
+    mod_down_.hat_inv.resize(ks);
+    mod_down_.hat_inv_shoup.resize(ks);
+    mod_down_.p_recip.resize(ks);
+    for (int i = 0; i < num_special_; ++i) {
+        const int gi = num_q_ + i;
+        const Modulus& pi = special(i);
+        u64 hat_inv = 1;
+        for (int i2 = 0; i2 < num_special_; ++i2) {
+            if (i2 == i) continue;
+            hat_inv = mul_mod(hat_inv, inv_mod_global(num_q_ + i2, gi), pi);
+        }
+        mod_down_.hat_inv[static_cast<std::size_t>(i)] = hat_inv;
+        mod_down_.hat_inv_shoup[static_cast<std::size_t>(i)] =
+            shoup_precompute(hat_inv, pi);
+        mod_down_.p_recip[static_cast<std::size_t>(i)] =
+            1.0 / static_cast<double>(pi.value());
+    }
+    mod_down_.hats.resize(static_cast<std::size_t>(num_q_));
+    mod_down_.p_inv.resize(static_cast<std::size_t>(num_q_));
+    mod_down_.p_inv_shoup.resize(static_cast<std::size_t>(num_q_));
+    for (int j = 0; j < num_q_; ++j) {
+        const Modulus& qj = q(j);
+        std::vector<u64>& row = mod_down_.hats[static_cast<std::size_t>(j)];
+        row.resize(ks + 1);
+        for (int i = 0; i < num_special_; ++i) {
+            u64 h = 1;
+            for (int i2 = 0; i2 < num_special_; ++i2) {
+                if (i2 == i) continue;
+                h = mul_mod(h, qj.reduce(special(i2).value()), qj);
+            }
+            row[static_cast<std::size_t>(i)] = h;
+        }
+        row[ks] = neg_mod(p_prod_mod_q(j), qj);
+        u64 p_inv = 1;
+        for (int i = 0; i < num_special_; ++i) {
+            p_inv = mul_mod(p_inv, inv_mod_global(num_q_ + i, j), qj);
+        }
+        mod_down_.p_inv[static_cast<std::size_t>(j)] = p_inv;
+        mod_down_.p_inv_shoup[static_cast<std::size_t>(j)] =
+            shoup_precompute(p_inv, qj);
+    }
+
     // Fast-base-conversion constants for every (digit, length) pair a key
     // switch can encounter: digit d spans limbs lo..lo+len-1; len runs to
     // alpha except when the chain ends first. Tiny tables (O(L * alpha *

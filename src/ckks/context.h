@@ -288,6 +288,26 @@ class Context {
     }
 
     /**
+     * Constants of the one-pass ModDown (RnsPoly::mod_down_special): a
+     * fast base conversion of [a]_P from the special primes p_i to every
+     * q_j, centered by v = round(sum_i lambda_i / p_i). None depends on
+     * the level (every extended polynomial carries all k special limbs),
+     * so one table serves every level.
+     */
+    struct ModDownConsts {
+        std::vector<u64> hat_inv;        ///< (P/p_i)^{-1} mod p_i
+        std::vector<u64> hat_inv_shoup;  ///< Shoup companions of hat_inv
+        std::vector<double> p_recip;     ///< 1 / p_i
+        /** hats[j] = {(P/p_0) mod q_j, .., (P/p_{k-1}) mod q_j, -P mod q_j}:
+         *  the base_conv_acc weights for target q_j, the last one
+         *  multiplying the centering correction v. */
+        std::vector<std::vector<u64>> hats;
+        std::vector<u64> p_inv;        ///< P^{-1} mod q_j
+        std::vector<u64> p_inv_shoup;  ///< Shoup companions of p_inv
+    };
+    const ModDownConsts& mod_down_consts() const { return mod_down_; }
+
+    /**
      * Galois element for a cyclic rotation of the message slots by `step`
      * positions toward lower indices (the paper's "rotate up"), i.e.
      * slot i of the result holds slot i + step of the input.
@@ -323,6 +343,7 @@ class Context {
     std::vector<u64> inv_table_;
     std::vector<u64> p_prod_mod_q_;
     std::vector<std::vector<DigitConsts>> digit_consts_;  // [digit][len-1]
+    ModDownConsts mod_down_;
     mutable OpCounters counters_;
     mutable std::mutex galois_perm_mu_;
     mutable std::map<u64, std::vector<u32>> galois_perm_cache_;

@@ -13,7 +13,9 @@
  *      fast-base-convert every digit to the full basis {q_0..q_l, p_0..p_k}.
  *   2. inner product: multiply-accumulate the digits against the
  *      key-switching key, producing an extended-basis pair.
- *   3. mod down: divide by P and drop the special limbs.
+ *   3. mod down (RnsPoly::mod_down_special): divide by P and drop the
+ *      special limbs in one pass, a centered fast base conversion of the
+ *      special limbs to every q_j (k INTTs + l+1 NTTs per polynomial).
  */
 
 #include "src/ckks/keys.h"

@@ -229,12 +229,13 @@ RnsPoly::galois(u64 elt) const
 }
 
 void
-RnsPoly::divide_and_drop_last()
+RnsPoly::rescale_drop_last()
 {
+    ORION_CHECK(!extended(), "cannot rescale an extended polynomial");
+    ORION_CHECK(level_ >= 1, "cannot rescale at level 0");
     const u64 n = degree();
-    const int last = num_limbs() - 1;
+    const int last = level_;
     const Modulus& q_last = limb_modulus(last);
-    const int last_global = limb_global_index(last);
 
     // Bring the last limb to coefficient form for cross-modulus reduction.
     core::ScratchVec<u64> last_coeffs(n);
@@ -249,8 +250,7 @@ RnsPoly::divide_and_drop_last()
         centered[j] = to_centered(last_coeffs[j], q_last);
     }
 
-    const int remaining = last;  // limbs 0..last-1 survive
-    core::parallel_for(0, remaining, [&](i64 li) {
+    core::parallel_for(0, last, [&](i64 li) {
         const int i = static_cast<int>(li);
         const Modulus& q = limb_modulus(i);
         core::ScratchVec<u64> tmp(n);
@@ -260,7 +260,7 @@ RnsPoly::divide_and_drop_last()
         if (ntt_) {
             limb_tables(i).forward(tmp.data());
         }
-        const u64 inv = ctx_->inv_mod_global(last_global, limb_global_index(i));
+        const u64 inv = ctx_->q_inv_mod(last, i);
         const u64 inv_shoup = shoup_precompute(inv, q);
         // Two whole-limb kernel passes; per element this is the same op
         // sequence as the fused mul_mod_shoup(sub_mod(...)) loop.
@@ -269,29 +269,77 @@ RnsPoly::divide_and_drop_last()
         k.sub_mod_n(a, tmp.data(), n, q);
         k.mul_scalar_shoup_n(a, a, n, inv, inv_shoup, q);
     });
-    if (ntt_) ctx_->counters().ntt += static_cast<u64>(remaining);
+    if (ntt_) ctx_->counters().ntt += static_cast<u64>(last);
 
-    data_.resize_down(static_cast<std::size_t>(remaining) * n);
-    if (special_limbs_ > 0) {
-        --special_limbs_;
-    } else {
-        --level_;
-    }
-}
-
-void
-RnsPoly::rescale_drop_last()
-{
-    ORION_CHECK(!extended(), "cannot rescale an extended polynomial");
-    ORION_CHECK(level_ >= 1, "cannot rescale at level 0");
-    divide_and_drop_last();
+    data_.resize_down(static_cast<std::size_t>(last) * n);
+    --level_;
 }
 
 void
 RnsPoly::mod_down_special()
 {
     ORION_CHECK(extended(), "mod_down_special requires special limbs");
-    while (special_limbs_ > 0) divide_and_drop_last();
+    const Context::ModDownConsts& md = ctx_->mod_down_consts();
+    const u64 n = degree();
+    const int k = special_limbs_;
+    const int first_special = level_ + 1;
+
+    // lambda_i = [a]_{p_i} * (P/p_i)^{-1} mod p_i, in coefficient form,
+    // written over the special limbs (they are dropped below). Then
+    // [a]_P = sum_i lambda_i * (P/p_i) - u * P for an integer u in [0, k).
+    core::ScratchVec<const u64*> lams(static_cast<std::size_t>(k) + 1);
+    core::parallel_for(0, k, [&](i64 ii) {
+        const int t = first_special + static_cast<int>(ii);
+        u64* a = limb(t);
+        if (ntt_) limb_tables(t).inverse(a);
+        const auto i = static_cast<std::size_t>(ii);
+        kernels::active().mul_scalar_shoup_n(a, a, n, md.hat_inv[i],
+                                             md.hat_inv_shoup[i],
+                                             limb_modulus(t));
+        lams[i] = a;
+    });
+    if (ntt_) ctx_->counters().ntt += static_cast<u64>(k);
+
+    // Centering: v = round(sum_i lambda_i / p_i) makes
+    // sum_i lambda_i * (P/p_i) - v * P the representative of [a]_P in
+    // (-P/2, P/2], so the result below is round(a / P). The sum is a
+    // fraction plus an integer below k; its double error (~k * 2^-52)
+    // only matters when the fraction sits on 1/2, where v may be off by
+    // one. Computed once here, outside the ISA tables, so every limb and
+    // every kernel table sees the same v.
+    core::ScratchVec<u64> v(n);
+    for (u64 x = 0; x < n; ++x) {
+        double s = 0.5;
+        for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
+            // lambda_i < 2^61 fits an i64; the signed conversion is the
+            // cheaper one.
+            s += static_cast<double>(static_cast<i64>(lams[i][x])) *
+                 md.p_recip[i];
+        }
+        v[x] = static_cast<u64>(static_cast<i64>(s));
+    }
+    lams[static_cast<std::size_t>(k)] = v.data();
+
+    // For each q_j: conv_j = sum_i lambda_i * (P/p_i) - v * P mod q_j (v
+    // rides base_conv_acc as one more row weighted by -P mod q_j), then
+    // a_j = (a_j - conv_j) * P^{-1} mod q_j.
+    core::parallel_for(0, first_special, [&](i64 ji) {
+        const int j = static_cast<int>(ji);
+        const auto js = static_cast<std::size_t>(j);
+        const Modulus& q = limb_modulus(j);
+        const kernels::KernelTable& kt = kernels::active();
+        core::ScratchVec<u64> conv(n);
+        kt.base_conv_acc(conv.data(), lams.data(), md.hats[js].data(), k + 1,
+                         n, q);
+        if (ntt_) limb_tables(j).forward(conv.data());
+        u64* a = limb(j);
+        kt.sub_mod_n(a, conv.data(), n, q);
+        kt.mul_scalar_shoup_n(a, a, n, md.p_inv[js], md.p_inv_shoup[js], q);
+    });
+    if (ntt_) ctx_->counters().ntt += static_cast<u64>(first_special);
+
+    data_.resize_down(static_cast<std::size_t>(first_special) * n);
+    special_limbs_ = 0;
 }
 
 void

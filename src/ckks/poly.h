@@ -119,8 +119,13 @@ class RnsPoly {
     void rescale_drop_last();
 
     /**
-     * Divides by P (every special prime in turn) and drops the special
-     * limbs, completing a key switch. Requires extended().
+     * ModDown, completing a key switch: replaces a (an element of
+     * R_{Q_l * P}) by round(a / P) in R_{Q_l} and drops the special limbs.
+     * One centered fast base conversion of [a]_P from the special primes
+     * to every q_j (k INTTs plus level+1 NTTs in NTT form); the result is
+     * exact except that a coefficient whose a mod P sits within float
+     * error of P/2 may round the other way (off by one). Requires
+     * extended(); works in either form.
      */
     void mod_down_special();
 
@@ -141,20 +146,13 @@ class RnsPoly {
     bool is_zero() const;
 
   private:
-    /**
-     * Divides by the modulus of the last limb and drops it: centers the
-     * last limb, subtracts it from every remaining limb, multiplies by the
-     * dropped modulus' inverse.
-     */
-    void divide_and_drop_last();
-
     /** Books an ArenaVec acquisition into the context's counters. */
     void count_acquire(core::ArenaAcquire how) const;
 
     const Context* ctx_ = nullptr;
     int level_ = -1;
     bool ntt_ = false;
-    int special_limbs_ = 0;  // present special limbs (shrinks in mod-down)
+    int special_limbs_ = 0;  // k while extended, 0 otherwise
     core::ArenaVec<u64> data_;
 };
 

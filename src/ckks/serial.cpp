@@ -288,13 +288,6 @@ void
 write_poly(ByteWriter& w, const RnsPoly& p)
 {
     ORION_CHECK(p.valid(), "cannot serialize an empty polynomial");
-    // A partially mod-downed poly (special limbs already shrunk) is
-    // transient key-switch state; the wire format only carries the full
-    // extended basis or none of it.
-    ORION_CHECK(!p.extended() ||
-                    p.num_limbs() ==
-                        p.num_coeff_limbs() + p.context().special_count(),
-                "cannot serialize a partially mod-downed polynomial");
     w.put_u8(p.is_ntt() ? 1 : 0);
     w.put_u8(p.extended() ? 1 : 0);
     w.put_u32(static_cast<u32>(p.level()));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "tests/test_util.h"
 
 namespace orion::test {
@@ -385,6 +387,116 @@ TEST(Evaluator, OpCountersTrackRotationsAndMults)
     EXPECT_EQ(c.hmult, 1u);
     EXPECT_EQ(c.total_rotations(), 2u);
     EXPECT_EQ(c.keyswitch, 3u);
+}
+
+// ---- one-pass ModDown ------------------------------------------------
+
+/**
+ * Builds a = P * m + e in R_{Q_l * P} (m uniform mod Q_l, e a signed
+ * integer with |e| < 2^62 drawn with both signs and the extremes) and
+ * checks mod_down_special(a) == m limb for limb. It must be exact: the
+ * centered representative of a mod P is e itself, and e / P sits nowhere
+ * near a rounding tie. A negative e only lands right when the base
+ * conversion is centered.
+ */
+void
+expect_mod_down_exact(const ckks::Context& ctx, int level, bool ntt, u64 seed)
+{
+    const u64 n = ctx.degree();
+    std::mt19937_64 rng(seed);
+    const i64 e_max = (i64(1) << 62) - 1;
+    std::uniform_int_distribution<i64> e_dist(-e_max, e_max);
+    std::vector<i64> e(n);
+    for (u64 x = 0; x < n; ++x) {
+        switch (x % 6) {
+            case 0: e[x] = e_max; break;
+            case 1: e[x] = -e_max; break;
+            case 2: e[x] = (x % 12 == 2) ? 1 : -1; break;
+            default: e[x] = e_dist(rng); break;
+        }
+    }
+    ckks::RnsPoly m(ctx, level, /*extended=*/false, /*ntt_form=*/false);
+    ckks::RnsPoly a(ctx, level, /*extended=*/true, /*ntt_form=*/false);
+    for (int t = 0; t < a.num_limbs(); ++t) {
+        const ckks::Modulus& q = a.limb_modulus(t);
+        const bool special = t > level;  // P * m vanishes mod p_i
+        std::uniform_int_distribution<u64> m_dist(0, q.value() - 1);
+        for (u64 x = 0; x < n; ++x) {
+            u64 r = ckks::reduce_signed(e[x], q);
+            if (!special) {
+                const u64 mj = m_dist(rng);
+                m.limb(t)[x] = mj;
+                r = ckks::add_mod(
+                    r, ckks::mul_mod(mj, ctx.p_prod_mod_q(t), q), q);
+            }
+            a.limb(t)[x] = r;
+        }
+    }
+    if (ntt) a.to_ntt();
+    a.mod_down_special();
+    ASSERT_FALSE(a.extended());
+    ASSERT_EQ(a.level(), level);
+    ASSERT_EQ(a.is_ntt(), ntt);
+    if (ntt) a.to_coeff();
+    for (int j = 0; j <= level; ++j) {
+        ASSERT_EQ(0, std::memcmp(a.limb(j), m.limb(j), n * sizeof(u64)))
+            << "k = " << ctx.special_count() << ", level " << level
+            << ", limb " << j << (ntt ? ", NTT form" : ", coefficient form");
+    }
+}
+
+TEST(ModDown, ExactOnScaledInputs)
+{
+    // k = 3 special primes of 60 bits, and k = 4 of 46 bits.
+    for (const ckks::CkksParams& params :
+         {ckks::CkksParams::bootstrap_toy(16),
+          ckks::CkksParams::network(u64(1) << 13, 8)}) {
+        const ckks::Context ctx(params);
+        const int top = ctx.max_level();
+        for (int level : {0, top / 2, top}) {
+            for (bool ntt : {false, true}) {
+                expect_mod_down_exact(ctx, level, ntt,
+                                      static_cast<u64>(2 * level + ntt));
+            }
+        }
+    }
+}
+
+TEST(ModDown, ChainedRotationsStayAtFreshNoise)
+{
+    // Every rotation ends in a ModDown. An uncentered base conversion
+    // (no v correction) adds a one-signed error per coefficient that
+    // compounds over a chain: 20 rotations took it to 6.2x a fresh
+    // encryption's slot error. Centered, the chain stays near 1x.
+    const ckks::Context ctx(ckks::CkksParams::network(u64(1) << 13, 8));
+    const ckks::Encoder encoder(ctx);
+    ckks::KeyGenerator keygen(ctx, /*seed=*/7);
+    const ckks::PublicKey pk = keygen.make_public_key();
+    const std::vector<int> steps = {1};
+    const ckks::GaloisKeys galois = keygen.make_galois_keys(steps);
+    ckks::Encryptor encryptor(ctx, pk);
+    const ckks::Decryptor decryptor(ctx, keygen.secret_key());
+    ckks::Evaluator eval(ctx, encoder);
+    eval.set_galois_keys(&galois);
+
+    const int level = 6;
+    const int chain = 20;
+    const u64 slots = ctx.slot_count();
+    const std::vector<double> m = random_vector(slots, 1.0, 41);
+    const Ciphertext fresh =
+        encryptor.encrypt(encoder.encode(m, level, ctx.scale()));
+    const double fresh_err =
+        max_abs_diff(m, encoder.decode(decryptor.decrypt(fresh)));
+
+    Ciphertext ct = fresh;
+    for (int i = 0; i < chain; ++i) ct = eval.rotate(ct, 1);
+    std::vector<double> expected(slots);
+    for (u64 i = 0; i < slots; ++i) expected[i] = m[(i + chain) % slots];
+    const double chained_err =
+        max_abs_diff(expected, encoder.decode(decryptor.decrypt(ct)));
+    EXPECT_LT(chained_err, 2.0 * fresh_err)
+        << "fresh " << fresh_err << ", after " << chain << " rotations "
+        << chained_err;
 }
 
 }  // namespace

@@ -317,6 +317,43 @@ TEST(KernelsSimd, RotationBitIdenticalAcrossIsasAndThreads)
     EXPECT_FALSE(baseline.empty());
 }
 
+TEST(KernelsSimd, ModDownBitIdenticalAcrossIsasAndThreads)
+{
+    // The one-pass ModDown computes its centering correction v once, in
+    // shared code, and hands every q_j the same rows; its output must be
+    // byte-identical under every kernel table and thread count.
+    IsaGuard guard;
+    auto& env = test::CkksEnv::shared();
+    const u64 n = env.ctx.degree();
+    RnsPoly ext(env.ctx, env.ctx.max_level(), /*extended=*/true,
+                /*ntt_form=*/true);
+    for (int t = 0; t < ext.num_limbs(); ++t) {
+        const std::vector<u64> r = adversarial_residues(
+            n, ext.limb_modulus(t), 500 + static_cast<u64>(t));
+        std::copy(r.begin(), r.end(), ext.limb(t));
+    }
+
+    std::vector<u64> baseline;
+    for (k::Isa isa : supported_isas()) {
+        k::set_isa(isa);
+        for (int threads : {1, 2, 4}) {
+            core::ScopedPoolOverride pool(threads);
+            RnsPoly a = ext;
+            a.mod_down_special();
+            ASSERT_FALSE(a.extended());
+            const std::vector<u64> out(
+                a.limb(0), a.limb(0) + static_cast<u64>(a.num_limbs()) * n);
+            if (baseline.empty()) {
+                baseline = out;
+            } else {
+                EXPECT_EQ(out, baseline)
+                    << k::isa_name(isa) << " x " << threads << " threads";
+            }
+        }
+    }
+    EXPECT_FALSE(baseline.empty());
+}
+
 TEST(KernelsSimd, HotLoopsAllocationFreeAfterWarmup)
 {
     // The acceptance bar for the arena: once the pool is warm, rotation
